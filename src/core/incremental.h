@@ -57,9 +57,9 @@ class IncrementalReachIndex {
   /// Registers a callback invoked with every fragment id whose cached
   /// query-independent structure an AddEdge invalidates (u's fragment, and
   /// v's when the edge crosses fragments). External caches keyed by fragment
-  /// — e.g. a PartialEvalEngine's FragmentContextCache over this index's
-  /// fragmentation — hook here so all update flows share one invalidation
-  /// path.
+  /// — e.g. PartialEvalEngine::InvalidateFragment, which drops the site
+  /// contexts of the engine's Cluster and the engine's boundary rows — hook
+  /// here so all update flows share one invalidation path.
   void SetUpdateListener(std::function<void(SiteId)> listener) {
     update_listener_ = std::move(listener);
   }

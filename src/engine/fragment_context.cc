@@ -153,7 +153,7 @@ void FragmentContext::BeginRpqRound() {
   rpq_round_start_tick_ = rpq_tick_ + 1;
   // A previous round with more distinct automata than the cap overshot
   // (its products were pinned); nothing is pinned anymore, so trim.
-  while (rpq_products_.size() > rpq_cache_cap_ && EvictRpqLru()) {
+  while (rpq_products_.size() > kDefaultRpqCacheCap && EvictRpqLru()) {
   }
 }
 
@@ -181,7 +181,7 @@ const FragmentContext::RpqProduct& FragmentContext::rpq_product(
     it->second.last_used = ++rpq_tick_;
     return *it->second.product;
   }
-  if (rpq_products_.size() >= rpq_cache_cap_) EvictRpqLru();
+  if (rpq_products_.size() >= kDefaultRpqCacheCap) EvictRpqLru();
 
   EnsureOset(f);
   const Graph& g = f.local_graph();

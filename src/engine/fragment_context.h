@@ -39,8 +39,9 @@ namespace pereach {
 /// Sections build lazily so workloads only pay for what they touch.
 ///
 /// Thread-safety: one FragmentContext may be used by one thread at a time.
-/// The engine's cluster rounds satisfy this — each site is simulated by a
-/// single pool thread per round.
+/// Its owners satisfy this: a worker process serves one round at a time,
+/// and the coordinator-side runner (kSim sites, kSocket degrade-local)
+/// holds the site's mutex across each round it evaluates.
 class FragmentContext {
  public:
   static constexpr uint32_t kNoIndex = std::numeric_limits<uint32_t>::max();
@@ -53,8 +54,7 @@ class FragmentContext {
     std::vector<std::vector<uint32_t>> rows;  // group -> ascending oset idx
   };
 
-  /// Default LRU cap for the per-automaton rpq products (matches
-  /// PartialEvalOptions::rpq_cache_entries).
+  /// LRU cap for the per-automaton rpq products.
   static constexpr size_t kDefaultRpqCacheCap = 8;
 
   /// Weighted (min-plus) boundary rows: per in-node, the local shortest-path
@@ -111,9 +111,6 @@ class FragmentContext {
     }
   };
 
-  explicit FragmentContext(size_t rpq_cache_cap = kDefaultRpqCacheCap)
-      : rpq_cache_cap_(rpq_cache_cap < 1 ? 1 : rpq_cache_cap) {}
-
   /// SCC condensation of f.local_graph().
   const Condensation& cond(const Fragment& f);
 
@@ -144,7 +141,7 @@ class FragmentContext {
 
   /// The cached product structures for the canonical automaton behind
   /// `signature_key`, building them (one product condensation + one grouped
-  /// sweep) on a miss. The cache holds at most `rpq_cache_cap` distinct
+  /// sweep) on a miss. The cache holds at most kDefaultRpqCacheCap distinct
   /// automata, LRU-evicted; rebuilding after an eviction is deterministic,
   /// so rows re-fetched by the coordinator always match the sweeps.
   const RpqProduct& rpq_product(const Fragment& f,
@@ -181,7 +178,6 @@ class FragmentContext {
   /// BeginRpqRound; returns false when every slot is pinned.
   bool EvictRpqLru();
 
-  size_t rpq_cache_cap_;
   std::unordered_map<std::string, RpqCacheSlot> rpq_products_;
   uint64_t rpq_tick_ = 0;
   uint64_t rpq_round_start_tick_ = 0;
@@ -190,22 +186,20 @@ class FragmentContext {
 };
 
 /// One FragmentContext per site of a fragmentation, built on first use and
-/// explicitly invalidated when an edge update changes a fragment (wired to
-/// IncrementalReachIndex::SetUpdateListener). Distinct sites may be accessed
-/// concurrently (each site from at most one thread, the cluster-round
-/// discipline); invalidation must not race with an in-flight round.
+/// explicitly invalidated when an edge update changes a fragment (the
+/// engines forward IncrementalReachIndex::SetUpdateListener events here
+/// through Cluster::InvalidateFragment). Distinct sites may be accessed
+/// concurrently; the owner serializes each site's accesses, invalidation
+/// included.
 class FragmentContextCache {
  public:
-  explicit FragmentContextCache(
-      const Fragmentation* fragmentation,
-      size_t rpq_cache_cap = FragmentContext::kDefaultRpqCacheCap)
-      : rpq_cache_cap_(rpq_cache_cap),
-        contexts_(fragmentation->num_fragments()) {}
+  explicit FragmentContextCache(const Fragmentation* fragmentation)
+      : contexts_(fragmentation->num_fragments()) {}
 
   FragmentContext& Get(SiteId site) {
     PEREACH_CHECK_LT(site, contexts_.size());
     if (contexts_[site] == nullptr) {
-      contexts_[site] = std::make_unique<FragmentContext>(rpq_cache_cap_);
+      contexts_[site] = std::make_unique<FragmentContext>();
       builds_.fetch_add(1, std::memory_order_relaxed);
     }
     return *contexts_[site];
@@ -228,7 +222,6 @@ class FragmentContextCache {
   }
 
  private:
-  size_t rpq_cache_cap_;
   std::vector<std::unique_ptr<FragmentContext>> contexts_;
   std::atomic<size_t> builds_{0};
 };

@@ -14,10 +14,10 @@
 
 namespace pereach {
 
-// The per-site halves of every round below (the localEval sweeps, the row
-// re-encodings, the sweep frames) live in src/engine/site_runtime.* — one
-// definition shared by these simulated closures and by the worker-side
-// RoundSpec decoder, which is what keeps the backends bit-identical.
+// Every round below is ONE definition: the coordinator encodes a RoundSpec,
+// and every site — in-process on kSim, in its worker on kSocket — answers it
+// through site_runtime::RunSiteRound, which is what keeps the backends
+// bit-identical.
 //
 // Every round goes through Cluster::TryRound/TryRoundAll and every reply
 // byte is decoded TOLERANTLY (Decoder::OnError::kStatus): a serving
@@ -44,10 +44,7 @@ Status MalformedReply(const char* what) {
 
 PartialEvalEngine::PartialEvalEngine(Cluster* cluster,
                                      PartialEvalOptions options)
-    : QueryEngine(cluster),
-      options_(options),
-      contexts_(&cluster->fragmentation(),
-                std::max<size_t>(1, options.rpq_cache_entries)) {}
+    : QueryEngine(cluster), options_(options) {}
 
 Status PartialEvalEngine::RunBatch(std::span<const Query> queries,
                                    std::vector<QueryAnswer>* answers) {
@@ -102,37 +99,25 @@ Status PartialEvalEngine::RunBatch(std::span<const Query> queries,
   }
   if (wire.empty()) return Status::OK();
 
-  // Batched broadcast: k queries in one payload. This is BOTH the byte
-  // accounting and (for the shm/socket backends) the literal bytes a worker
-  // decodes; the simulated closures read the query objects directly, as
-  // everywhere in this simulator. Regular queries dedupe their automata by
-  // canonical signature: identical regexes in one batch ship one automaton
+  // Batched broadcast: k queries in one payload, the literal bytes every
+  // site decodes. Regular queries dedupe their automata by canonical
+  // signature: identical regexes in one batch ship one canonical automaton
   // plus a per-query table reference instead of k serialized copies.
   Encoder broadcast;
-  // Canonical automata in broadcast table order, plus each wire query's table
-  // slot. Sites — simulated closures and remote workers alike — evaluate the
-  // canonical automaton, so the reply bytes the model charges are exactly the
-  // bytes a worker produces from the decoded broadcast.
-  std::vector<QueryAutomaton> canon_pool;
-  std::vector<uint32_t> canon_ref(wire.size(), 0);
   {
     std::unordered_map<std::string, uint32_t> automaton_ref;
     Encoder automata;
     broadcast.PutVarint(wire.size());
-    for (size_t wi = 0; wi < wire.size(); ++wi) {
-      const Query& q = queries[wire[wi]];
+    for (size_t qi : wire) {
+      const Query& q = queries[qi];
       q.SerializeHeader(&broadcast);
       if (q.kind == QueryKind::kRpq) {
         CanonicalAutomaton canon = Canonicalize(*q.automaton);
         const auto [it, inserted] = automaton_ref.emplace(
             canon.signature.key,
             static_cast<uint32_t>(automaton_ref.size()));
-        if (inserted) {
-          canon.automaton.Serialize(&automata);
-          canon_pool.push_back(std::move(canon.automaton));
-        }
+        if (inserted) canon.automaton.Serialize(&automata);
         broadcast.PutVarint(it->second);
-        canon_ref[wi] = it->second;
       }
     }
     broadcast.PutVarint(automaton_ref.size());
@@ -142,51 +127,12 @@ Status PartialEvalEngine::RunBatch(std::span<const Query> queries,
   // One round: every site runs localEval for all k queries in a single
   // visit and multiplexes the partial answers into one reply — shared oset
   // table first (reach frames reference it), then one frame per query.
-  const EquationForm form = options_.form;
   RoundSpec spec;
   spec.kind = RoundKind::kBatchEval;
-  spec.aux = static_cast<uint8_t>(form);
+  spec.aux = static_cast<uint8_t>(options_.form);
   spec.accounted_broadcast_bytes = broadcast.size();
   spec.broadcast = broadcast.TakeBuffer();
-  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRoundAll(
-      spec, [this, queries, &wire, &canon_pool, &canon_ref, any_reach,
-             form](const Fragment& f) {
-        FragmentContext& ctx = contexts_.Get(f.site());
-        Encoder reply;
-        reply.PutVarint(f.site());
-        if (any_reach) {
-          const std::vector<NodeId>& shared = ctx.oset_globals(f);
-          reply.PutVarint(shared.size());
-          for (NodeId g : shared) reply.PutVarint(g);
-        }
-        for (size_t wi = 0; wi < wire.size(); ++wi) {
-          const Query& q = queries[wire[wi]];
-          Encoder body;
-          switch (q.kind) {
-            case QueryKind::kReach: {
-              const ReachPartialAnswer pa =
-                  form == EquationForm::kClosure
-                      ? ReachFromCachedRows(f, &ctx, q.source, q.target)
-                      : RebaseOntoSharedOset(
-                            LocalEvalReach(f, q.source, q.target, form,
-                                           &ctx.cond(f)),
-                            ctx);
-              pa.SerializeBody(ctx.oset_globals(f).size(), &body);
-              break;
-            }
-            case QueryKind::kDist:
-              LocalEvalDist(f, q.source, q.target, q.bound).Serialize(&body);
-              break;
-            case QueryKind::kRpq:
-              LocalEvalRegular(f, canon_pool[canon_ref[wi]], q.source,
-                               q.target, form, &ctx.label_index(f))
-                  .Serialize(&body);
-              break;
-          }
-          reply.PutFrame(body.buffer());
-        }
-        return reply.TakeBuffer();
-      });
+  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRoundAll(spec);
   if (!round.ok()) return round.status();
   const std::vector<std::vector<uint8_t>>& replies = round.value();
 
@@ -275,11 +221,7 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
     spec.kind = RoundKind::kReachRows;
     spec.accounted_broadcast_bytes = 1;  // the "please send rows" byte
     Result<std::vector<std::vector<uint8_t>>> round =
-        cluster_->TryRound(dirty, spec, [this](const Fragment& f) {
-          Encoder reply;
-          BuildBoundaryRows(f, &contexts_.Get(f.site())).Serialize(&reply);
-          return reply.TakeBuffer();
-        });
+        cluster_->TryRound(dirty, spec);
     if (!round.ok()) return round.status();
     const std::vector<std::vector<uint8_t>>& rows_replies = round.value();
     StopWatch build_watch;
@@ -314,18 +256,8 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
   spec.kind = RoundKind::kReachSweep;
   spec.accounted_broadcast_bytes = broadcast.size();
   spec.broadcast = broadcast.TakeBuffer();
-  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRound(
-      sites, spec, [this, queries, &wire](const Fragment& f) {
-        FragmentContext& ctx = contexts_.Get(f.site());
-        Encoder reply;
-        for (size_t qi : wire) {
-          const Query& q = queries[qi];
-          Encoder body;
-          EncodeBoundarySweepFrame(f, &ctx, q.source, q.target, &body);
-          reply.PutFrame(body.buffer());
-        }
-        return reply.TakeBuffer();
-      });
+  Result<std::vector<std::vector<uint8_t>>> round =
+      cluster_->TryRound(sites, spec);
   if (!round.ok()) return round.status();
   const std::vector<std::vector<uint8_t>>& replies = round.value();
 
@@ -438,12 +370,7 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
     spec.kind = RoundKind::kDistRows;
     spec.accounted_broadcast_bytes = 1;  // the "please send rows" byte
     Result<std::vector<std::vector<uint8_t>>> round =
-        cluster_->TryRound(dirty, spec, [this](const Fragment& f) {
-          Encoder reply;
-          BuildWeightedBoundaryRows(f, &contexts_.Get(f.site()))
-              .Serialize(&reply);
-          return reply.TakeBuffer();
-        });
+        cluster_->TryRound(dirty, spec);
     if (!round.ok()) return round.status();
     const std::vector<std::vector<uint8_t>>& rows_replies = round.value();
     StopWatch build_watch;
@@ -479,18 +406,8 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
   spec.kind = RoundKind::kDistSweep;
   spec.accounted_broadcast_bytes = broadcast.size();
   spec.broadcast = broadcast.TakeBuffer();
-  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRound(
-      sites, spec, [this, queries, &wire](const Fragment& f) {
-        FragmentContext& ctx = contexts_.Get(f.site());
-        Encoder reply;
-        for (size_t qi : wire) {
-          const Query& q = queries[qi];
-          Encoder body;
-          EncodeDistSweepFrame(f, &ctx, q.source, q.target, q.bound, &body);
-          reply.PutFrame(body.buffer());
-        }
-        return reply.TakeBuffer();
-      });
+  Result<std::vector<std::vector<uint8_t>>> round =
+      cluster_->TryRound(sites, spec);
   if (!round.ok()) return round.status();
   const std::vector<std::vector<uint8_t>>& replies = round.value();
 
@@ -624,20 +541,8 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
       spec.kind = RoundKind::kRpqRows;
       spec.accounted_broadcast_bytes = refresh_broadcast.size();
       spec.broadcast = refresh_broadcast.TakeBuffer();
-      Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRound(
-          refresh_sites, spec, [this, &sigs, &site_sigs](const Fragment& f) {
-            FragmentContext& ctx = contexts_.Get(f.site());
-            ctx.BeginRpqRound();
-            Encoder reply;
-            for (uint32_t si : site_sigs[f.site()]) {
-              Encoder body;
-              BuildProductBoundaryRows(f, &ctx, sigs[si].canon.signature.key,
-                                       sigs[si].canon.automaton)
-                  .Serialize(&body);
-              reply.PutFrame(body.buffer());
-            }
-            return reply.TakeBuffer();
-          });
+      Result<std::vector<std::vector<uint8_t>>> round =
+          cluster_->TryRound(refresh_sites, spec);
       if (!round.ok()) return round.status();
       const std::vector<std::vector<uint8_t>>& rows_replies = round.value();
       StopWatch build_watch;
@@ -685,27 +590,8 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
   spec.kind = RoundKind::kRpqSweep;
   spec.accounted_broadcast_bytes = broadcast.size();
   spec.broadcast = broadcast.TakeBuffer();
-  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRound(
-      sites, spec,
-      [this, queries, &wire, &sigs, &query_sig](const Fragment& f) {
-        FragmentContext& ctx = contexts_.Get(f.site());
-        ctx.BeginRpqRound();
-        Encoder reply;
-        for (size_t wi = 0; wi < wire.size(); ++wi) {
-          const Query& q = queries[wire[wi]];
-          Encoder body;
-          if (!f.Contains(q.source) && !f.Contains(q.target)) {
-            body.PutU8(0);
-          } else {
-            const SigGroup& sig = sigs[query_sig[wi]];
-            const FragmentContext::RpqProduct& p = ctx.rpq_product(
-                f, sig.canon.signature.key, sig.canon.automaton);
-            EncodeRpqSweepFrame(f, &ctx, p, q.source, q.target, &body);
-          }
-          reply.PutFrame(body.buffer());
-        }
-        return reply.TakeBuffer();
-      });
+  Result<std::vector<std::vector<uint8_t>>> round =
+      cluster_->TryRound(sites, spec);
   if (!round.ok()) return round.status();
   const std::vector<std::vector<uint8_t>>& replies = round.value();
 

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "src/core/local_eval.h"
-#include "src/engine/fragment_context.h"
 #include "src/engine/query_engine.h"
 #include "src/index/boundary_dist_index.h"
 #include "src/index/boundary_index.h"
@@ -70,8 +69,9 @@ struct PartialEvalOptions {
   DistAnswerPath dist_path = DistAnswerPath::kBes;
   /// Coordinator strategy for regular queries (see RpqAnswerPath).
   RpqAnswerPath rpq_path = RpqAnswerPath::kBes;
-  /// LRU entry cap for the signature-keyed rpq caches — the coordinator's
-  /// standing product boundary graphs AND each fragment's product rows.
+  /// LRU entry cap for the coordinator's standing product boundary graphs
+  /// (BoundaryRpqIndex entries). Each site's own product cache runs with
+  /// FragmentContext::kDefaultRpqCacheCap.
   size_t rpq_cache_entries = 8;
   /// Answer indexed coordinator questions in 64-lane bit-parallel words
   /// (BoundaryReachIndex::AnswerBatch / BoundaryRpqIndex::Entry::AnswerBatch)
@@ -97,10 +97,11 @@ struct PartialEvalOptions {
 ///
 ///  2. Per-fragment precompute (FragmentContext). The SCC condensation,
 ///     boundary tables, closure rows, and label index of each fragment are
-///     query-independent; they are built on first use and reused by every
-///     subsequent query of every class until InvalidateFragment is called
-///     (wire it to IncrementalReachIndex::SetUpdateListener for edge
-///     updates).
+///     query-independent; the site that owns the fragment builds them on
+///     first use and reuses them for every subsequent query of every class
+///     — across every engine on the same Cluster — until InvalidateFragment
+///     is called (wire it to IncrementalReachIndex::SetUpdateListener for
+///     edge updates).
 ///
 /// Single-query Evaluate is a batch of one; the DisReach / DisDist / DisRpq
 /// free functions are thin wrappers over a transient engine.
@@ -111,23 +112,23 @@ class PartialEvalEngine : public QueryEngine {
   std::string_view name() const override { return "partial-eval"; }
 
   /// Drops the cached context of one fragment (after an edge update touched
-  /// it) or of all fragments (after repartitioning). Both boundary indexes
-  /// ride the same invalidation path: the touched fragment's rows are
-  /// marked dirty and re-fetched lazily by the next indexed batch.
+  /// it) or of all fragments (after repartitioning). The site contexts live
+  /// in the cluster's transport and are shared by every engine on it; the
+  /// boundary indexes ride the same invalidation path: the touched
+  /// fragment's rows are marked dirty and re-fetched lazily by the next
+  /// indexed batch.
   void InvalidateFragment(SiteId site) {
-    contexts_.Invalidate(site);
+    cluster_->InvalidateFragment(site);
     if (boundary_) boundary_->InvalidateFragment(site);
     if (boundary_dist_) boundary_dist_->InvalidateFragment(site);
     if (boundary_rpq_) boundary_rpq_->InvalidateFragment(site);
   }
   void InvalidateAllFragments() {
-    contexts_.InvalidateAll();
+    cluster_->InvalidateAllFragments();
     if (boundary_) boundary_->InvalidateAll();
     if (boundary_dist_) boundary_dist_->InvalidateAll();
     if (boundary_rpq_) boundary_rpq_->InvalidateAll();
   }
-
-  const FragmentContextCache& context_cache() const { return contexts_; }
 
   /// The standing boundary index, or nullptr before the first reach batch
   /// ran with reach_path == kBoundaryIndex (observability for tests/benches).
@@ -181,7 +182,6 @@ class PartialEvalEngine : public QueryEngine {
                         std::vector<QueryAnswer>* answers);
 
   PartialEvalOptions options_;
-  FragmentContextCache contexts_;
   std::unique_ptr<BoundaryReachIndex> boundary_;
   std::unique_ptr<BoundaryDistIndex> boundary_dist_;
   std::unique_ptr<BoundaryRpqIndex> boundary_rpq_;

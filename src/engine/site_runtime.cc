@@ -446,7 +446,7 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
   }
 }
 
-// --- Worker-side round dispatch ---------------------------------------------
+// --- Round dispatch ----------------------------------------------------------
 
 namespace {
 
@@ -460,7 +460,7 @@ struct WireQuery {
   uint32_t automaton_ref = 0;
 };
 
-/// The multiplexed all-sites batch: reproduce the RunBatch closure.
+/// The multiplexed all-sites batch: localEval for every query of the batch.
 Result<std::vector<uint8_t>> RunBatchEval(const Fragment& f,
                                           FragmentContext* ctx, uint8_t aux,
                                           Decoder* dec) {

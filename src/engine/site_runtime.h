@@ -17,15 +17,12 @@ namespace pereach {
 /// The SITE half of every PartialEvalEngine round: the query-dependent
 /// sweeps and row re-encodings that run against one fragment plus its
 /// FragmentContext — everything a site contributes to a round, with no
-/// reference to coordinator state. The simulated backend's closures call
-/// these directly (zero-copy over the coordinator's fragments); the shm and
-/// socket backends reach them through RunSiteRound, which decodes a
-/// RoundSpec broadcast and reproduces the exact same reply bytes. One
-/// definition on both paths is what makes the backend differential suite
-/// (answers bit-identical across transports) hold by construction for the
-/// reach and dist classes, and answer-identical for rpq (workers evaluate
-/// the broadcast's canonical automata, which are language-equal to the
-/// originals the sim closures read in place).
+/// reference to coordinator state. Every backend reaches them through
+/// RunSiteRound, which decodes a RoundSpec broadcast: kSim in-process over
+/// the coordinator's own fragments, kSocket in the worker process and in
+/// its degrade-local path. One round definition on every path is what makes
+/// the backend differential suite (answers and modeled books bit-identical
+/// across transports) hold by construction.
 
 // Flag bits of a boundary sweep frame.
 inline constexpr uint8_t kFrameHasS = 1;       // s-side list present
@@ -88,13 +85,12 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
 
 /// The worker entry point: decodes a round broadcast (tolerant decoding —
 /// a corrupt or truncated payload returns Corruption, never aborts, so one
-/// bad frame cannot kill a worker process) and produces the same reply
-/// bytes the simulated closure for (kind, aux) would have produced against
-/// this fragment. `ctx` is the site's standing cache; it must be reset
-/// (fresh FragmentContext) whenever the fragment changes. The socket
-/// transport's degrade-local path (DESIGN.md §13.2) calls this same entry
-/// point over the coordinator's fragment copy when a site stays down, which
-/// is why a degraded round's reply bytes are identical to a healthy one's.
+/// bad frame cannot kill a worker process) and produces the site's reply
+/// for (kind, aux) against this fragment. `ctx` is the site's standing
+/// cache; it must be reset (fresh FragmentContext) whenever the fragment
+/// changes. kSim sites and the socket transport's degrade-local path
+/// (DESIGN.md §13.2) call this same entry point over the coordinator's own
+/// fragment, which is why their reply bytes are identical to a worker's.
 Result<std::vector<uint8_t>> RunSiteRound(const Fragment& f,
                                           FragmentContext* ctx, RoundKind kind,
                                           uint8_t aux,

@@ -17,11 +17,12 @@
 
 namespace pereach {
 
-/// Cluster: one site per fragment plus a coordinator. HOW a round executes
-/// is delegated to a Transport (DESIGN.md §13) chosen at construction:
-/// simulated in-process closures (the default — "threads simulate
-/// partitions"), in-process shared-memory workers, or real pereach_worker
-/// processes over sockets. The cluster keeps the books either way: per-site
+/// Cluster: one site per fragment plus a coordinator. HOW a serving round
+/// executes is delegated to a Transport (DESIGN.md §13) chosen at
+/// construction: in-process sites on the thread pool (the default —
+/// "threads simulate partitions") or real pereach_worker processes over
+/// sockets. Either way every site answers the round's RoundSpec through
+/// site_runtime::RunSiteRound. The cluster keeps the books: per-site
 /// visit counts, traffic, message counts, and a modeled response time
 /// combining per-site compute with the NetworkModel — modeled accounting is
 /// byte-identical across backends because it charges the round's payloads,
@@ -29,8 +30,8 @@ namespace pereach {
 ///
 /// The three-phase pattern of the paper (§2.2) maps onto:
 ///   cluster.BeginQuery();
-///   auto replies = cluster.RoundAll(query_bytes, local_eval);   // phases 1+2
-///   ... assemble at the coordinator ...                         // phase 3
+///   auto replies = cluster.TryRoundAll(spec);    // phases 1+2
+///   ... assemble at the coordinator ...         // phase 3
 ///   RunMetrics m = cluster.EndQuery();
 ///
 /// A metrics window may also cover a whole query batch: the engine layer
@@ -53,8 +54,8 @@ namespace pereach {
 class Cluster {
  public:
   /// `fragmentation` must outlive the cluster. `num_threads` == 0 picks
-  /// hardware concurrency. `transport` selects the serving backend;
-  /// defaults preserve the simulated seed behavior exactly.
+  /// hardware concurrency. `transport` selects the serving backend; the
+  /// default evaluates every site in-process (kSim).
   Cluster(const Fragmentation* fragmentation, const NetworkModel& net,
           size_t num_threads = 0, TransportOptions transport = {});
 
@@ -83,9 +84,9 @@ class Cluster {
   /// reply payload (one message each; empty replies send no message).
   /// Records one visit per listed site and advances the modeled clock by
   ///   2·latency + max(site compute) + transfer(all bytes of the round).
-  /// Always executes on the simulated backend regardless of the serving
-  /// transport — the baselines' bespoke closures have no wire encoding, and
-  /// their modeled numbers must not depend on the backend under test.
+  /// Runs directly on the pool regardless of the serving transport — the
+  /// paper baselines' bespoke closures have no wire encoding, and their
+  /// modeled numbers must not depend on the backend under test.
   std::vector<std::vector<uint8_t>> Round(
       const std::vector<SiteId>& sites, size_t broadcast_bytes,
       const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
@@ -95,25 +96,31 @@ class Cluster {
       size_t broadcast_bytes,
       const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
 
-  /// One round on the SERVING transport: the simulated backend runs `fn`
-  /// (bit-identical to Round); the shm/socket backends ship `spec` and the
-  /// worker-side decoder reproduces it. Fails — instead of aborting — when
-  /// a worker is dead, hung past its read deadline, or framed garbage; the
-  /// books are only charged on success, and the failed connection
-  /// re-establishes on its next round.
+  /// One round on the SERVING transport: every listed site answers `spec`
+  /// through site_runtime::RunSiteRound, in-process (kSim) or in its worker
+  /// (kSocket), and the books are charged exactly as Round charges them,
+  /// with `spec.accounted_broadcast_bytes` per site. Fails — instead of
+  /// aborting — when the broadcast does not decode or a worker is dead,
+  /// hung past its read deadline, or framed garbage; the books are only
+  /// charged on success, and a failed connection re-establishes on its
+  /// next round.
   Result<std::vector<std::vector<uint8_t>>> TryRound(
-      const std::vector<SiteId>& sites, const RoundSpec& spec,
-      const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
+      const std::vector<SiteId>& sites, const RoundSpec& spec);
 
   /// TryRound() over all sites.
-  Result<std::vector<std::vector<uint8_t>>> TryRoundAll(
-      const RoundSpec& spec,
-      const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
+  Result<std::vector<std::vector<uint8_t>>> TryRoundAll(const RoundSpec& spec);
 
-  /// Re-ships post-update fragment state to transports that hold copies
-  /// (no-op on the simulated backend). Call after mutating the graph, under
-  /// the same exclusion that gates evaluations (the server's writer-held
-  /// epoch gate) so no round is in flight.
+  /// Drops the standing context the transport keeps for `site` (or for
+  /// every site) after an update changed its fragment; the next round at
+  /// the site rebuilds it. Shared by every engine on this cluster. Call
+  /// under the same exclusion as SyncFragments.
+  void InvalidateFragment(SiteId site);
+  void InvalidateAllFragments();
+
+  /// Re-ships post-update fragment state to the workers (no-op on kSim).
+  /// Call after mutating the graph, under the same exclusion that gates
+  /// evaluations (the server's writer-held epoch gate) so no round is in
+  /// flight.
   Status SyncFragments();
 
   /// Adds coordinator-side compute (assembling) to the modeled clock.
@@ -149,11 +156,11 @@ class Cluster {
     StopWatch watch;
   };
 
-  /// Executes one round on `t` and, on success, charges the caller's open
-  /// window with the seed's exact accounting.
-  Result<std::vector<std::vector<uint8_t>>> RoundInternal(
-      Transport* t, const std::vector<SiteId>& sites, const RoundSpec& spec,
-      const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
+  /// Charges the caller's open window with one completed round: a visit
+  /// per listed site, `broadcast_bytes` to each, and every non-empty reply.
+  void ChargeRound(const std::vector<SiteId>& sites, size_t broadcast_bytes,
+                   const std::vector<std::vector<uint8_t>>& replies,
+                   double max_compute_ms);
 
   std::vector<SiteId> AllSites() const;
 
@@ -164,7 +171,6 @@ class Cluster {
   const Fragmentation* fragmentation_;
   NetworkModel net_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<Transport> sim_transport_;
   std::unique_ptr<Transport> transport_;
 
   mutable Mutex mu_{LockRank::kClusterMetrics};

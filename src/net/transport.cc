@@ -214,112 +214,107 @@ std::vector<uint8_t> SerializeFragment(const Fragment& f) {
   return enc.TakeBuffer();
 }
 
+// --- In-process sites --------------------------------------------------------
+
+/// Runs one round's site shares on the pool: `run_site(i, &reply,
+/// &compute_ms)` answers sites[i]. Replies land in site order; the round
+/// reports the largest per-site compute time and fails with the first
+/// failed share.
+template <typename RunSite>
+Status ScatterGather(ThreadPool* pool, size_t k, const RunSite& run_site,
+                     std::vector<std::vector<uint8_t>>* replies,
+                     double* max_compute_ms) {
+  replies->assign(k, {});
+  std::vector<double> compute_ms(k, 0.0);
+  std::vector<Status> statuses(k, Status::OK());
+  pool->ParallelFor(k, [&](size_t i) {
+    statuses[i] = run_site(i, &(*replies)[i], &compute_ms[i]);
+  });
+  *max_compute_ms = 0.0;
+  for (double ms : compute_ms) *max_compute_ms = std::max(*max_compute_ms, ms);
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+/// Every site evaluated in-process: site_runtime::RunSiteRound over the
+/// coordinator's own fragment and one standing FragmentContext per site.
+/// Each site's rounds are serialized by its own mutex — a FragmentContext
+/// is single-threaded, and the server's per-class dispatchers share it.
+/// kSim is this runner on the pool; kSocket uses it for degrade-local
+/// rounds.
+class LocalSiteRunner {
+ public:
+  explicit LocalSiteRunner(const Fragmentation* fragmentation)
+      : fragmentation_(fragmentation),
+        locks_(fragmentation->num_fragments()),
+        contexts_(fragmentation) {}
+
+  /// One site's share of `spec`. `*compute_ms` times the evaluation only,
+  /// not the wait for the site's mutex.
+  Status Run(SiteId site, const RoundSpec& spec, std::vector<uint8_t>* reply,
+             double* compute_ms) {
+    MutexLock lock(&locks_[site].mu);
+    StopWatch watch;
+    Result<std::vector<uint8_t>> r =
+        RunSiteRound(fragmentation_->fragment(site), &contexts_.Get(site),
+                     spec.kind, spec.aux, spec.broadcast);
+    *compute_ms = watch.ElapsedMs();
+    if (!r.ok()) return r.status();
+    *reply = std::move(r).value();
+    return Status::OK();
+  }
+
+  void Invalidate(SiteId site) {
+    MutexLock lock(&locks_[site].mu);
+    contexts_.Invalidate(site);
+  }
+
+  void InvalidateAll() {
+    for (SiteId s = 0; s < locks_.size(); ++s) Invalidate(s);
+  }
+
+  size_t context_builds() const { return contexts_.build_count(); }
+
+ private:
+  struct SiteLock {
+    /// Held across one round (or invalidation) of this site's context.
+    Mutex mu{LockRank::kTransportConn};
+  };
+
+  const Fragmentation* fragmentation_;
+  std::vector<SiteLock> locks_;
+  FragmentContextCache contexts_;
+};
+
 // --- kSim -------------------------------------------------------------------
 
-/// The seed behavior, verbatim: every listed site runs the engine's closure
-/// over the coordinator-resident fragment on the pool, with a per-site
-/// stopwatch feeding the modeled clock.
 class SimTransport : public Transport {
  public:
   SimTransport(const Fragmentation* fragmentation, ThreadPool* pool)
-      : fragmentation_(fragmentation), pool_(pool) {}
-
-  Status Execute(const std::vector<SiteId>& sites, const RoundSpec& /*spec*/,
-                 const SiteFn& sim_fn,
-                 std::vector<std::vector<uint8_t>>* replies,
-                 double* max_compute_ms) override {
-    const size_t k = sites.size();
-    replies->assign(k, {});
-    std::vector<double> compute_ms(k, 0.0);
-    pool_->ParallelFor(k, [&](size_t i) {
-      const Fragment& frag = fragmentation_->fragment(sites[i]);
-      StopWatch watch;
-      (*replies)[i] = sim_fn(frag);
-      compute_ms[i] = watch.ElapsedMs();
-    });
-    *max_compute_ms = 0.0;
-    for (double ms : compute_ms) *max_compute_ms = std::max(*max_compute_ms, ms);
-    return Status::OK();
-  }
-
- private:
-  const Fragmentation* fragmentation_;
-  ThreadPool* pool_;
-};
-
-// --- kShm -------------------------------------------------------------------
-
-/// Single-box sharding: each site owns a deserialized COPY of its fragment
-/// plus its own FragmentContext, and every round goes through the same
-/// RoundSpec encode/decode the socket backend ships — full wire coverage,
-/// no processes.
-class ShmTransport : public Transport {
- public:
-  ShmTransport(const Fragmentation* fragmentation, ThreadPool* pool)
-      : fragmentation_(fragmentation), pool_(pool) {
-    RebuildRuntimes();
-  }
+      : local_(fragmentation), pool_(pool) {}
 
   Status Execute(const std::vector<SiteId>& sites, const RoundSpec& spec,
-                 const SiteFn& /*sim_fn*/,
                  std::vector<std::vector<uint8_t>>* replies,
                  double* max_compute_ms) override {
-    const size_t k = sites.size();
-    replies->assign(k, {});
-    std::vector<double> compute_ms(k, 0.0);
-    std::vector<Status> statuses(k, Status::OK());
-    pool_->ParallelFor(k, [&](size_t i) {
-      WorkerRuntime& rt = *runtimes_[sites[i]];
-      MutexLock lock(&rt.io_mu);
-      StopWatch watch;
-      Result<std::vector<uint8_t>> r = RunSiteRound(
-          rt.fragment, &rt.ctx, spec.kind, spec.aux, spec.broadcast);
-      compute_ms[i] = watch.ElapsedMs();
-      if (r.ok()) {
-        (*replies)[i] = std::move(r).value();
-      } else {
-        statuses[i] = r.status();
-      }
-    });
-    *max_compute_ms = 0.0;
-    for (double ms : compute_ms) *max_compute_ms = std::max(*max_compute_ms, ms);
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
+    return ScatterGather(
+        pool_, sites.size(),
+        [&](size_t i, std::vector<uint8_t>* reply, double* compute_ms) {
+          return local_.Run(sites[i], spec, reply, compute_ms);
+        },
+        replies, max_compute_ms);
   }
 
-  Status SyncFragments() override {
-    RebuildRuntimes();
-    return Status::OK();
+  void InvalidateFragment(SiteId site) override { local_.Invalidate(site); }
+  void InvalidateAll() override { local_.InvalidateAll(); }
+  size_t ContextBuildsForTest() const override {
+    return local_.context_builds();
   }
 
  private:
-  struct WorkerRuntime {
-    explicit WorkerRuntime(Fragment f) : fragment(std::move(f)) {}
-    Fragment fragment;
-    FragmentContext ctx;
-    /// Serializes rounds on one site: overlapping per-class dispatcher
-    /// batches must not race on the site's standing context.
-    Mutex io_mu{LockRank::kTransportConn};
-  };
-
-  /// Round-trips every fragment through its wire format — the copies are
-  /// exactly what a remote worker would hold.
-  void RebuildRuntimes() {
-    runtimes_.clear();
-    for (SiteId s = 0; s < fragmentation_->num_fragments(); ++s) {
-      const std::vector<uint8_t> bytes =
-          SerializeFragment(fragmentation_->fragment(s));
-      Decoder dec(bytes);
-      runtimes_.push_back(
-          std::make_unique<WorkerRuntime>(Fragment::Deserialize(&dec)));
-    }
-  }
-
-  const Fragmentation* fragmentation_;
+  LocalSiteRunner local_;
   ThreadPool* pool_;
-  std::vector<std::unique_ptr<WorkerRuntime>> runtimes_;
 };
 
 // --- kSocket ----------------------------------------------------------------
@@ -457,7 +452,10 @@ class SocketTransport : public Transport {
  public:
   SocketTransport(const TransportOptions& options,
                   const Fragmentation* fragmentation, ThreadPool* pool)
-      : options_(options), fragmentation_(fragmentation), pool_(pool) {
+      : options_(options),
+        fragmentation_(fragmentation),
+        pool_(pool),
+        local_(fragmentation) {
     if (options_.worker_binary.empty()) {
       options_.worker_binary = DefaultWorkerBinary();
     }
@@ -469,7 +467,6 @@ class SocketTransport : public Transport {
         conns_.push_back(std::make_unique<Connection>());
         conns_.back()->jitter_state =
             SplitMix64(options_.backoff_jitter_seed + s);
-        local_.push_back(std::make_unique<LocalRuntime>());
         frag_bytes_.push_back(SerializeFragment(fragmentation_->fragment(s)));
         fault_killed_[s].store(false, std::memory_order_relaxed);
       }
@@ -482,28 +479,26 @@ class SocketTransport : public Transport {
   ~SocketTransport() override { Shutdown(); }
 
   Status Execute(const std::vector<SiteId>& sites, const RoundSpec& spec,
-                 const SiteFn& /*sim_fn*/,
                  std::vector<std::vector<uint8_t>>* replies,
                  double* max_compute_ms) override {
-    const size_t k = sites.size();
-    replies->assign(k, {});
-    std::vector<double> compute_ms(k, 0.0);
-    std::vector<Status> statuses(k, Status::OK());
     const uint64_t round = round_counter_.fetch_add(1);
     // The whole-round deadline spans every retry, backoff and
     // re-establishment below — a dripping or flapping worker cannot stretch
     // a round (or the Stop() drain behind it) past this.
     const WireTime deadline = WireDeadline(options_.round_deadline_ms);
-    pool_->ParallelFor(k, [&](size_t i) {
-      statuses[i] = RoundOnSite(sites[i], spec, round, deadline,
-                                &(*replies)[i], &compute_ms[i]);
-    });
-    *max_compute_ms = 0.0;
-    for (double ms : compute_ms) *max_compute_ms = std::max(*max_compute_ms, ms);
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
+    return ScatterGather(
+        pool_, sites.size(),
+        [&](size_t i, std::vector<uint8_t>* reply, double* compute_ms) {
+          return RoundOnSite(sites[i], spec, round, deadline, reply,
+                             compute_ms);
+        },
+        replies, max_compute_ms);
+  }
+
+  void InvalidateFragment(SiteId site) override { local_.Invalidate(site); }
+  void InvalidateAll() override { local_.InvalidateAll(); }
+  size_t ContextBuildsForTest() const override {
+    return local_.context_builds();
   }
 
   Status SyncFragments() override {
@@ -518,11 +513,8 @@ class SocketTransport : public Transport {
       }
     }
     // The degrade-local contexts cache per-fragment structure; the
-    // fragments just changed under us.
-    for (std::unique_ptr<LocalRuntime>& rt : local_) {
-      MutexLock lock(&rt->eval_mu);
-      rt->ctx = std::make_unique<FragmentContext>();
-    }
+    // fragments just changed under us, as they did under the workers.
+    local_.InvalidateAll();
     // A site that fails to sync is marked dead, which is already safe: its
     // next round re-establishes with a Hello carrying the CURRENT fragment,
     // so a worker can never serve stale state. Sites already dead are
@@ -539,7 +531,10 @@ class SocketTransport : public Transport {
       }
       Status st = ExchangeLocked(&c, body.buffer(), nullptr, nullptr,
                                  WireDeadline(options_.read_timeout_ms));
-      if (!st.ok()) CloseLocked(&c);
+      if (!st.ok()) {
+        CloseLocked(&c);
+        sync_failures_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     return Status::OK();
   }
@@ -601,6 +596,7 @@ class SocketTransport : public Transport {
     h.worker_respawns = respawns_.load(std::memory_order_relaxed);
     h.degraded_site_rounds = degraded_.load(std::memory_order_relaxed);
     h.breakers_open = supervisor_->OpenBreakers();
+    h.sync_failures = sync_failures_.load(std::memory_order_relaxed);
     return h;
   }
 
@@ -617,16 +613,6 @@ class SocketTransport : public Transport {
     /// Serializes one round's send+receive exchange on this worker socket
     /// (overlapping per-class dispatcher rounds share the connection).
     Mutex io_mu{LockRank::kTransportConn};
-  };
-
-  /// Per-site runtime of the degrade_local path: a standing context over
-  /// the coordinator's own fragment, reset whenever the fragments change.
-  struct LocalRuntime {
-    std::unique_ptr<FragmentContext> ctx = std::make_unique<FragmentContext>();
-    /// Serializes degraded rounds on one site (FragmentContext is
-    /// single-threaded); never nested with io_mu — degradation starts only
-    /// after the exchange released it.
-    Mutex eval_mu{LockRank::kTransportConn};
   };
 
   /// One request/reply exchange on an established connection, the whole
@@ -792,23 +778,17 @@ class SocketTransport : public Transport {
   }
 
   /// The degradation path: evaluate this site's share of the round locally,
-  /// over the coordinator's own fragment copy. site_runtime::RunSiteRound
-  /// is the same decoder the workers run, and serialization round-trips are
-  /// exact, so the reply bytes are identical to a healthy worker's — the
-  /// batch completes, answers and modeled books unchanged.
+  /// over the coordinator's own fragment, exactly as kSim does. The local
+  /// runner calls the same RunSiteRound the workers run, and serialization
+  /// round-trips are exact, so the reply bytes are identical to a healthy
+  /// worker's — the batch completes, answers and modeled books unchanged.
+  /// Never nested with io_mu: degradation starts only after the exchange
+  /// released it.
   Status DegradeLocal(SiteId site, const RoundSpec& spec,
                       std::vector<uint8_t>* payload, double* compute_ms) {
-    LocalRuntime& rt = *local_[site];
-    MutexLock lock(&rt.eval_mu);
-    StopWatch watch;
-    Result<std::vector<uint8_t>> r =
-        RunSiteRound(fragmentation_->fragment(site), rt.ctx.get(), spec.kind,
-                     spec.aux, spec.broadcast);
-    if (compute_ms != nullptr) *compute_ms = watch.ElapsedMs();
-    if (!r.ok()) return r.status();
-    if (payload != nullptr) *payload = std::move(r).value();
-    degraded_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
+    Status s = local_.Run(site, spec, payload, compute_ms);
+    if (s.ok()) degraded_.fetch_add(1, std::memory_order_relaxed);
+    return s;
   }
 
   /// The deterministic fault schedule: pure draws keyed by (seed, round,
@@ -977,7 +957,7 @@ class SocketTransport : public Transport {
   const Fragmentation* fragmentation_;
   ThreadPool* pool_;
   std::vector<std::unique_ptr<Connection>> conns_;
-  std::vector<std::unique_ptr<LocalRuntime>> local_;
+  LocalSiteRunner local_;
   /// Serialized fragment snapshots shipped by Hello and Sync; written only
   /// under the writer-held epoch gate, read during establishment.
   Mutex frag_mu_{LockRank::kTransportFrag};
@@ -989,6 +969,7 @@ class SocketTransport : public Transport {
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> respawns_{0};
   std::atomic<uint64_t> degraded_{0};
+  std::atomic<uint64_t> sync_failures_{0};
 };
 
 }  // namespace
@@ -999,8 +980,6 @@ std::unique_ptr<Transport> MakeTransport(const TransportOptions& options,
   switch (options.backend) {
     case TransportBackend::kSim:
       return std::make_unique<SimTransport>(fragmentation, pool);
-    case TransportBackend::kShm:
-      return std::make_unique<ShmTransport>(fragmentation, pool);
     case TransportBackend::kSocket:
       if (!options.connect.empty()) {
         PEREACH_CHECK_EQ(options.connect.size(),
@@ -1010,11 +989,6 @@ std::unique_ptr<Transport> MakeTransport(const TransportOptions& options,
   }
   PEREACH_CHECK(false && "unknown transport backend");
   return nullptr;
-}
-
-std::unique_ptr<Transport> MakeSimTransport(const Fragmentation* fragmentation,
-                                            ThreadPool* pool) {
-  return std::make_unique<SimTransport>(fragmentation, pool);
 }
 
 }  // namespace pereach

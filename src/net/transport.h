@@ -2,7 +2,6 @@
 #define PEREACH_NET_TRANSPORT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,19 +12,17 @@
 
 namespace pereach {
 
-/// How a Cluster executes its communication rounds (DESIGN.md §13).
+/// How a Cluster executes its communication rounds (DESIGN.md §13). Both
+/// backends run one round definition: the engine encodes a RoundSpec and
+/// every site answers it through site_runtime::RunSiteRound.
 ///
-///  - kSim: the seed behavior — sites are closures on an in-process thread
-///    pool reading the coordinator's own data structures. Zero-copy, fully
-///    deterministic, modeled cost only.
-///  - kShm: single-box sharding — each site owns a deserialized COPY of its
-///    fragment plus its own FragmentContext, and rounds go through the same
-///    encoded RoundSpec the socket backend ships, still on the in-process
-///    pool. Exercises every wire encode/decode path without processes.
+///  - kSim: in-process. Every site is evaluated on the cluster's thread
+///    pool over the coordinator's own fragment and a standing per-site
+///    FragmentContext. Zero-copy, deterministic, modeled cost only.
 ///  - kSocket: one pereach_worker process (or remote TCP endpoint) per
 ///    fragment; the coordinator scatters length-prefixed frames and gathers
 ///    replies per round. Real wall-clock serving.
-enum class TransportBackend : uint8_t { kSim = 0, kShm = 1, kSocket = 2 };
+enum class TransportBackend : uint8_t { kSim = 0, kSocket = 1 };
 
 /// Deterministic fault injection for the socket transport (tests, chaos
 /// benches). When enabled, each (round, site) pair draws from a pure hash
@@ -50,10 +47,10 @@ struct FaultPlan {
   bool kill_each_site = false;
 };
 
-/// Construction-time knobs of the transport seam. Defaults preserve the
-/// seed's simulated behavior exactly.
+/// Construction-time knobs of the transport seam. Defaults select the
+/// in-process kSim backend.
 struct TransportOptions {
-  /// Which backend executes rounds (kSim, kShm, kSocket).
+  /// Which backend executes rounds (kSim, kSocket).
   TransportBackend backend = TransportBackend::kSim;
   /// kSocket spawn mode: path of the pereach_worker binary. Empty resolves
   /// to "pereach_worker" next to the running executable.
@@ -104,10 +101,9 @@ struct TransportOptions {
   FaultPlan fault_plan;
 };
 
-/// What a round asks every listed site to do. The simulated backend ignores
-/// the encoding and runs the engine's closure directly; the shm and socket
-/// backends ship `broadcast` and the worker-side decoder
-/// (site_runtime::RunSiteRound) reproduces the closure from it.
+/// What a round asks every listed site to do. Every backend answers it
+/// through site_runtime::RunSiteRound: kSim in-process, kSocket in the
+/// worker after shipping `broadcast`.
 enum class RoundKind : uint8_t {
   kBatchEval = 0,   // multiplexed localEval/localEvald/localEvalr batch
   kReachRows = 1,   // refresh: closure boundary rows (BoundaryReachIndex)
@@ -174,10 +170,6 @@ Status ReadWireMessage(int fd, int timeout_ms, size_t max_frame_bytes,
 
 // --- The transport seam -----------------------------------------------------
 
-/// One site's work in a simulated round: the engine's closure over the
-/// coordinator-resident fragment.
-using SiteFn = std::function<std::vector<uint8_t>(const Fragment&)>;
-
 /// Monotonic recovery counters plus the breaker gauge, sampled lock-free.
 /// In-process backends report all zeros; QueryServer::Metrics() imports
 /// these into the server_transport_* metric families.
@@ -186,6 +178,7 @@ struct TransportHealth {
   uint64_t worker_respawns = 0;      // re-establishments after first Hello
   uint64_t degraded_site_rounds = 0; // site-rounds evaluated degrade_local
   uint64_t breakers_open = 0;        // connections currently open/half-open
+  uint64_t sync_failures = 0;        // site syncs that failed (site closed)
 };
 
 /// Executes communication rounds for a Cluster. Implementations are
@@ -197,22 +190,31 @@ class Transport {
 
   /// Runs one round on `sites`: reply payload per listed site (in order)
   /// plus the maximum per-site compute time, for the modeled clock. On any
-  /// site failure (dead/hung worker, corrupt frame) returns a non-OK status
-  /// and the round's replies must not be used; in-process backends never
-  /// fail. `sim_fn` is what the simulated backend runs; the others decode
-  /// `spec` instead.
+  /// site failure (dead/hung worker, corrupt frame, a broadcast that does
+  /// not decode) returns a non-OK status and the round's replies must not
+  /// be used.
   virtual Status Execute(const std::vector<SiteId>& sites,
-                         const RoundSpec& spec, const SiteFn& sim_fn,
+                         const RoundSpec& spec,
                          std::vector<std::vector<uint8_t>>* replies,
                          double* max_compute_ms) = 0;
+
+  /// Drops the standing FragmentContext of one coordinator-side site (the
+  /// kSim sites, the kSocket degrade-local runner) after an update changed
+  /// its fragment; the next round at that site rebuilds it. Must not
+  /// overlap with in-flight rounds on that site.
+  virtual void InvalidateFragment(SiteId site) = 0;
+
+  /// InvalidateFragment for every site (after repartitioning).
+  virtual void InvalidateAll() = 0;
 
   /// Re-ships every fragment's post-update state to its site (worker-held
   /// fragment copies go stale when IncrementalReachIndex applies edges).
   /// No-op for kSim, which reads the coordinator's fragments directly. A
   /// site that cannot be synced is marked dead so its next round
   /// re-establishes with a fresh Hello — stale answers are impossible
-  /// either way. Must not overlap with in-flight rounds (the server calls
-  /// it under the writer-held epoch gate).
+  /// either way — and counted in Health().sync_failures; the call itself
+  /// still succeeds. Must not overlap with in-flight rounds (the server
+  /// calls it under the writer-held epoch gate).
   virtual Status SyncFragments() { return Status::OK(); }
 
   /// Tears down connections and worker processes. Idempotent; also run by
@@ -225,6 +227,10 @@ class Transport {
 
   /// Recovery counters and breaker state (zeros for in-process backends).
   virtual TransportHealth Health() const { return {}; }
+
+  /// Coordinator-side FragmentContext constructions so far — cold starts
+  /// plus rebuilds after invalidation (test hook).
+  virtual size_t ContextBuildsForTest() const = 0;
 };
 
 /// Builds the backend `options.backend` selects. `fragmentation` and `pool`
@@ -232,11 +238,6 @@ class Transport {
 std::unique_ptr<Transport> MakeTransport(const TransportOptions& options,
                                          const Fragmentation* fragmentation,
                                          ThreadPool* pool);
-
-/// The simulated backend, unconditionally — Cluster::Round keeps the
-/// baselines' bespoke closures on it regardless of the serving backend.
-std::unique_ptr<Transport> MakeSimTransport(const Fragmentation* fragmentation,
-                                            ThreadPool* pool);
 
 }  // namespace pereach
 

@@ -10,7 +10,7 @@ namespace pereach {
 
 /// Snapshot gate between query batches (readers) and graph updates
 /// (writers). The mutable state behind the gate — the index's
-/// Fragmentation, the engines' FragmentContext caches — is only touched by
+/// Fragmentation, the cluster's FragmentContexts — is only touched by
 /// a writer while every reader is drained, so a batch that entered at epoch
 /// e evaluates every one of its queries against exactly the first e updates:
 /// readers never observe a half-applied update.

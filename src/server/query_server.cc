@@ -200,12 +200,13 @@ uint64_t QueryServer::AddEdges(
   // reader-held batches, so the swap is invisible to queries.
   index_->AddEdges(edges);
   // Ship the updated fragments to the serving workers while still
-  // exclusive, so no batch can round over stale remote state. A failed sync
-  // only closes the affected connections: the next round re-establishes and
-  // the reconnect handshake ships the CURRENT fragment, so a worker can
-  // never serve pre-update answers after this commit.
+  // exclusive, so no batch can round over stale remote state. A failed site
+  // sync is not an update failure: it closes that site's connection, the
+  // next round re-establishes and the reconnect handshake ships the CURRENT
+  // fragment, so a worker can never serve pre-update answers after this
+  // commit. The transport counts it (server_transport_sync_failures_total).
   Status sync = cluster_.SyncFragments();
-  (void)sync;
+  PEREACH_CHECK(sync.ok());
   const uint64_t epoch = writer.Commit();
   // Epoch-keyed cache entries can never be served at the new epoch; drop
   // them while still under the exclusive gate, so no reader can look up
@@ -281,6 +282,8 @@ MetricsSnapshot QueryServer::Metrics() const {
     metrics_.SetCounter(CounterId::kTransportRespawns, health.worker_respawns);
     metrics_.SetCounter(CounterId::kTransportDegraded,
                         health.degraded_site_rounds);
+    metrics_.SetCounter(CounterId::kTransportSyncFailures,
+                        health.sync_failures);
     metrics_.SetGauge(GaugeId::kBreakersOpen,
                       static_cast<double>(health.breakers_open));
   }

@@ -43,8 +43,8 @@ struct ServerOptions {
   /// Backpressure budgets and tenant quotas (default unbounded — set every
   /// budget in production; DESIGN.md §11.2, docs/OPERATIONS.md for tuning).
   AdmissionOptions admission;
-  /// Serving transport behind the cluster's rounds (default simulated
-  /// in-process; kShm and kSocket serve over real workers, DESIGN.md §13).
+  /// Serving transport behind the cluster's rounds (default in-process
+  /// sites; kSocket serves over real workers, DESIGN.md §13).
   /// A transport failure rejects the affected batch (kTransportError) and
   /// the server keeps serving.
   TransportOptions transport;
@@ -96,8 +96,9 @@ struct ServerStats {
 ///    cluster metrics windows keep the three dispatchers' books separate).
 ///  - AddEdge/AddEdges serialize through an epoch-based writer path: the
 ///    writer drains in-flight batches (EpochGate), applies the update via
-///    the IncrementalReachIndex (whose listener invalidates exactly the
-///    touched FragmentContext entries in every class engine), commits the
+///    the IncrementalReachIndex (whose listener, through every class
+///    engine, invalidates exactly the touched fragments' FragmentContexts,
+///    which the three engines share, and boundary rows), commits the
 ///    epoch, and only then readmits batches. Every answer reports the epoch
 ///    it was computed at; a batch never observes a half-applied update.
 ///

@@ -53,6 +53,9 @@ constexpr MetricInfo kCounterInfos[] = {
      "worker re-establishments (respawn/reconnect) after the first Hello"},
     {"server_transport_degraded_total", "counter", "rounds",
      "site-rounds evaluated locally on the coordinator (degrade_local)"},
+    {"server_transport_sync_failures_total", "counter", "sites",
+     "post-update fragment syncs that failed; the site was closed and "
+     "re-establishes with the current fragment"},
 };
 
 constexpr MetricInfo kGaugeInfos[] = {

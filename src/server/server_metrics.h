@@ -48,6 +48,7 @@ enum class CounterId : size_t {
   kTransportRetries,   // in-round re-dispatches after a site exchange failed
   kTransportRespawns,  // worker re-establishments after the first Hello
   kTransportDegraded,  // site-rounds evaluated locally (degrade_local)
+  kTransportSyncFailures,  // site syncs that failed (site closed, re-Hellos)
   kCount,
 };
 

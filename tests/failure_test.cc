@@ -13,10 +13,12 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/baselines/centralized.h"
 #include "src/core/local_eval.h"
 #include "src/engine/partial_eval_engine.h"
 #include "src/fragment/fragmentation.h"
@@ -33,6 +35,7 @@
 namespace pereach {
 namespace {
 
+using testing_util::EdgeWorld;
 using testing_util::MakeGraph;
 using testing_util::MakePaperExample;
 using testing_util::PaperExample;
@@ -487,6 +490,51 @@ TEST(TransportFailureTest, ServerAbsorbsKilledWorkersUnderLoad) {
   EXPECT_GT(snap.counter(CounterId::kTransportRetries) +
                 snap.counter(CounterId::kTransportDegraded),
             0u);
+  server.Stop();
+}
+
+// A worker that dies between updates fails its post-update sync. The update
+// still commits: the sync failure is counted, the dead site re-establishes
+// with the CURRENT fragment on its next round, and every answer after the
+// update matches the oracle on the updated graph.
+TEST(TransportFailureTest, FailedSyncIsCountedAndAnswersStayCurrent) {
+  const PaperExample ex = MakePaperExample();
+  EdgeWorld world = EdgeWorld::FromGraph(ex.graph);
+  IncrementalReachIndex index(ex.graph, ex.partition, 3);
+  ServerOptions options;
+  options.transport.backend = TransportBackend::kSocket;
+  options.transport.read_timeout_ms = 2000;
+  QueryServer server(&index, options);
+
+  const ServedAnswer before =
+      server.Submit(Query::Reach(ex.mark, ex.ann)).get();
+  ASSERT_FALSE(before.rejected);
+  EXPECT_FALSE(before.answer.reachable);
+  const std::vector<int> pids =
+      server.cluster()->transport()->WorkerPidsForTest();
+  ASSERT_EQ(pids.size(), 3u);
+  kill(pids[0], SIGKILL);
+
+  server.AddEdge(ex.mark, ex.ann);
+  world.edges.emplace_back(ex.mark, ex.ann);
+  EXPECT_EQ(server.Metrics().counter(CounterId::kTransportSyncFailures), 1u);
+
+  const Graph updated = world.Build();
+  const NodeId n = static_cast<NodeId>(updated.NumNodes());
+  std::vector<std::future<ServedAnswer>> served;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      served.push_back(server.Submit(Query::Reach(s, t)));
+    }
+  }
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      const ServedAnswer answer = served[s * n + t].get();
+      ASSERT_FALSE(answer.rejected) << s << "->" << t;
+      EXPECT_EQ(answer.answer.reachable, CentralizedReach(updated, s, t))
+          << s << "->" << t;
+    }
+  }
   server.Stop();
 }
 

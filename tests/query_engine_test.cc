@@ -190,27 +190,46 @@ TEST(QueryEngineBatchTest, MixedKindBatchMatchesSingles) {
   }
 }
 
-// The closure fast path reads cached rows instead of re-running localEval;
-// a warm cache must serve whole batches without any section rebuild.
-TEST(QueryEngineCacheTest, WarmContextServesBatchesWithoutRebuild) {
+// The site contexts live in the cluster's transport, one per fragment,
+// shared by every engine on the cluster: three engines (one per class, as
+// the server runs them) build each fragment's context exactly once, a warm
+// cache serves further batches without any rebuild, and invalidating one
+// fragment rebuilds exactly that one.
+TEST(QueryEngineCacheTest, EnginesOnOneClusterShareSiteContexts) {
   Rng rng(31);
   const size_t n = 100;
   const Graph g = ErdosRenyi(n, 3 * n, 3, &rng);
   const std::vector<SiteId> part = RandomPartition(n, 5, &rng);
   const Fragmentation frag = Fragmentation::Build(g, part, 5);
   Cluster cluster(&frag, NetworkModel());
-  PartialEvalEngine engine(&cluster, {.form = EquationForm::kClosure});
+  PartialEvalEngine reach(&cluster, {.form = EquationForm::kClosure});
+  PartialEvalEngine dist(&cluster);
+  PartialEvalEngine rpq(&cluster);
+  const auto run_all = [&](size_t count) {
+    std::vector<Query> dist_batch;
+    std::vector<Query> rpq_batch;
+    for (size_t i = 0; i < count; ++i) {
+      const NodeId s = static_cast<NodeId>(rng.Uniform(n));
+      const NodeId t = static_cast<NodeId>(rng.Uniform(n));
+      dist_batch.push_back(Query::Dist(s, t, 6));
+      rpq_batch.push_back(Query::Rpq(s, t, QueryAutomaton::WildcardStar()));
+    }
+    ASSERT_TRUE(
+        reach.EvaluateBatch(RandomReachBatch(n, count, &rng)).status.ok());
+    ASSERT_TRUE(dist.EvaluateBatch(dist_batch).status.ok());
+    ASSERT_TRUE(rpq.EvaluateBatch(rpq_batch).status.ok());
+  };
+  const Transport& transport = *cluster.transport();
 
-  engine.EvaluateBatch(RandomReachBatch(n, 8, &rng));
-  const size_t builds_after_warmup = engine.context_cache().build_count();
-  EXPECT_EQ(builds_after_warmup, frag.num_fragments());
+  run_all(8);
+  EXPECT_EQ(transport.ContextBuildsForTest(), frag.num_fragments());
 
-  engine.EvaluateBatch(RandomReachBatch(n, 32, &rng));
-  EXPECT_EQ(engine.context_cache().build_count(), builds_after_warmup);
+  run_all(32);
+  EXPECT_EQ(transport.ContextBuildsForTest(), frag.num_fragments());
 
-  engine.InvalidateFragment(0);
-  engine.EvaluateBatch(RandomReachBatch(n, 4, &rng));
-  EXPECT_EQ(engine.context_cache().build_count(), builds_after_warmup + 1);
+  dist.InvalidateFragment(0);
+  run_all(4);
+  EXPECT_EQ(transport.ContextBuildsForTest(), frag.num_fragments() + 1);
 }
 
 // Differential test over incremental updates: after each AddEdge flows

@@ -127,6 +127,10 @@ TEST(ServerMetricsTest, TransportRecoveryMetricsAreCataloged) {
                                            CounterId::kTransportDegraded)]
                             .name),
             "server_transport_degraded_total");
+  EXPECT_EQ(std::string(CounterInfos()[static_cast<size_t>(
+                                           CounterId::kTransportSyncFailures)]
+                            .name),
+            "server_transport_sync_failures_total");
   EXPECT_EQ(
       std::string(
           GaugeInfos()[static_cast<size_t>(GaugeId::kBreakersOpen)].name),

@@ -1,6 +1,6 @@
 // Transport-seam tests: the fallible (kStatus) decode path every transport
-// ingress uses, the socket wire framing, and backend equivalence — the shm
-// and socket backends must answer bit-identically to the simulated seed.
+// ingress uses, the socket wire framing, and backend equivalence — the
+// socket backend must answer bit-identically to the in-process sim backend.
 
 #include "src/net/transport.h"
 
@@ -190,11 +190,11 @@ std::vector<Query> MixedBatch(size_t n, size_t count, uint64_t seed) {
   return batch;
 }
 
-void ExpectBackendMatchesSim(TransportBackend backend) {
+TEST(TransportBackendTest, SocketSpawnAnswersAndBooksMatchSim) {
   const PaperExample ex = MakePaperExample();
   const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
   TransportOptions opts;
-  opts.backend = backend;
+  opts.backend = TransportBackend::kSocket;
   Cluster sim(&frag, NetworkModel(), /*num_threads=*/3);
   Cluster real(&frag, NetworkModel(), /*num_threads=*/3, opts);
   PartialEvalEngine sim_engine(&sim);
@@ -217,12 +217,31 @@ void ExpectBackendMatchesSim(TransportBackend backend) {
   EXPECT_EQ(a.metrics.traffic_bytes, b.metrics.traffic_bytes);
 }
 
-TEST(TransportBackendTest, ShmAnswersAndBooksMatchSim) {
-  ExpectBackendMatchesSim(TransportBackend::kShm);
-}
+// The sim backend decodes the round's broadcast like a worker does, so a
+// broadcast that does not decode fails the round with a Status — and the
+// books stay uncharged, exactly as for a failed socket round.
+TEST(TransportBackendTest, SimRejectsTruncatedSweepBroadcast) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3);
 
-TEST(TransportBackendTest, SocketSpawnAnswersAndBooksMatchSim) {
-  ExpectBackendMatchesSim(TransportBackend::kSocket);
+  Encoder broadcast;
+  broadcast.PutVarint(2);  // declares two queries...
+  Query::Reach(ex.ann, ex.mark).Serialize(&broadcast);  // ...ships one
+  RoundSpec spec;
+  spec.kind = RoundKind::kReachSweep;
+  spec.accounted_broadcast_bytes = broadcast.size();
+  spec.broadcast = broadcast.TakeBuffer();
+
+  cluster.BeginQuery();
+  const auto replies = cluster.TryRound({0, 1, 2}, spec);
+  const RunMetrics m = cluster.EndQuery();
+  ASSERT_FALSE(replies.ok());
+  EXPECT_EQ(replies.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(m.rounds, 0u);
+  EXPECT_EQ(m.messages, 0u);
+  EXPECT_EQ(m.traffic_bytes, 0u);
+  EXPECT_EQ(m.site_visits, std::vector<size_t>(3, 0));
 }
 
 TEST(TransportBackendTest, SocketSpawnsOneWorkerPerFragment) {
@@ -238,8 +257,7 @@ TEST(TransportBackendTest, SocketSpawnsOneWorkerPerFragment) {
   RoundSpec spec;
   spec.kind = RoundKind::kReachRows;
   spec.accounted_broadcast_bytes = 1;
-  const auto replies = cluster.TryRound(
-      {0, 1, 2}, spec, [](const Fragment&) { return std::vector<uint8_t>(); });
+  const auto replies = cluster.TryRound({0, 1, 2}, spec);
   cluster.EndQuery();
   ASSERT_TRUE(replies.ok());
   EXPECT_EQ(replies.value().size(), 3u);
@@ -266,8 +284,7 @@ TEST(TransportBackendTest, UnreachableEndpointFailsRoundWithoutAborting) {
   RoundSpec spec;
   spec.kind = RoundKind::kReachRows;
   spec.accounted_broadcast_bytes = 1;
-  const auto replies = cluster.TryRound(
-      {0, 1, 2}, spec, [](const Fragment&) { return std::vector<uint8_t>(); });
+  const auto replies = cluster.TryRound({0, 1, 2}, spec);
   cluster.EndQuery();
   EXPECT_FALSE(replies.ok());
 }
