@@ -5,6 +5,7 @@
 //  - partial-answer encoding: adaptive sparse/dense vs always-dense
 //  - query automaton construction cost
 //  - product graph construction for localEvalr
+//  - the dist endpoint sweep frame a site answers per indexed dist query
 //  - partitioner cost and cut quality
 //  - incremental index vs full disReach per query
 
@@ -19,6 +20,7 @@
 #include "src/core/incremental.h"
 #include "src/core/local_eval.h"
 #include "src/engine/fragment_context.h"
+#include "src/engine/site_runtime.h"
 #include "src/fragment/partitioner.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
@@ -226,6 +228,50 @@ void BM_RpqProductRowsCacheHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RpqProductRowsCacheHit)->Arg(2000)->Arg(10000);
+
+// --- dist endpoint sweep frame ----------------------------------------------
+
+// One site's half of an indexed dist query on one fragment of a LiveJournal
+// stand-in (scale 0.005, 12.7k nodes, 4 chunk fragments — the shape of the
+// serving benchmark): range(0) = 0 sweeps the s side (forward BFS to the
+// exits), 1 the t side (reverse BFS to the entries); range(1) is the hop
+// bound. The context is warm, as at a serving site, so this is the
+// per-frame cost alone.
+void BM_DistSweepFrame(benchmark::State& state) {
+  const bool t_side = state.range(0) == 1;
+  const uint32_t bound = static_cast<uint32_t>(state.range(1));
+  constexpr size_t kSites = 4;
+  Rng rng(g_seed + 37);
+  const Graph g = MakeDataset(Dataset::kLiveJournal, 0.005, &rng);
+  const Fragmentation frag = Fragmentation::Build(
+      g, ChunkPartitioner().Partition(g, kSites, &rng), kSites);
+  const Fragment& f = frag.fragment(0);
+  const Fragment& other = frag.fragment(1);
+  std::vector<std::pair<NodeId, NodeId>> endpoints;  // (here, elsewhere)
+  for (size_t i = 0; i < 64; ++i) {
+    endpoints.emplace_back(
+        f.ToGlobal(static_cast<NodeId>(rng.Uniform(f.num_local()))),
+        other.ToGlobal(static_cast<NodeId>(rng.Uniform(other.num_local()))));
+  }
+  FragmentContext ctx;
+  size_t i = 0;
+  Encoder body;
+  for (auto _ : state) {
+    const auto& [here, elsewhere] = endpoints[i++ % endpoints.size()];
+    body = Encoder();
+    if (t_side) {
+      EncodeDistSweepFrame(f, &ctx, elsewhere, here, bound, &body);
+    } else {
+      EncodeDistSweepFrame(f, &ctx, here, elsewhere, bound, &body);
+    }
+    benchmark::DoNotOptimize(body.buffer().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DistSweepFrame)
+    ->ArgNames({"t_side", "bound"})
+    ->ArgsProduct({{0, 1}, {3, 8}})
+    ->Unit(benchmark::kMicrosecond);
 
 // --- partitioners ------------------------------------------------------------
 

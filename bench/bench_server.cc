@@ -92,6 +92,10 @@ struct ConfigResult {
   double wall_p50_ms = 0;
   double wall_p90_ms = 0;
   double wall_p99_ms = 0;
+  // The same latencies split by query class (QueryKind order: reach, dist,
+  // rpq); 0 for a class the mix never drew.
+  std::array<double, 3> class_wall_p50_ms{};
+  std::array<double, 3> class_wall_p99_ms{};
   // Recovery books sampled from the final metrics snapshot (zeros for the
   // in-process transports): the chaos series asserts on these.
   double transport_rejected = 0;
@@ -189,14 +193,14 @@ ConfigResult RunConfig(const Graph& g, const std::vector<SiteId>& part,
 
   std::vector<double> modeled_sum(flags.clients, 0.0);
   std::vector<size_t> hits(flags.clients, 0), rejected(flags.clients, 0);
-  std::vector<std::vector<double>> latencies(flags.clients);
+  // Per client, per query class (QueryKind order).
+  std::vector<std::array<std::vector<double>, 3>> latencies(flags.clients);
   std::vector<std::thread> threads;
   StopWatch wall;
   for (size_t c = 0; c < flags.clients; ++c) {
     threads.emplace_back([&, c] {
       Rng rng(opts.seed * 1000 + c);
       const size_t n = g.NumNodes();
-      latencies[c].reserve(opts.queries);
       for (size_t i = 0; i < opts.queries; ++i) {
         const Query query =
             hot_pool != nullptr
@@ -211,7 +215,8 @@ ConfigResult RunConfig(const Graph& g, const std::vector<SiteId>& part,
           ++rejected[c];
           continue;
         }
-        latencies[c].push_back(submit_watch.ElapsedMs());
+        latencies[c][static_cast<size_t>(query.kind)].push_back(
+            submit_watch.ElapsedMs());
         if (served.cache_hit) ++hits[c];
         modeled_sum[c] += served.answer.metrics.PerQueryModeledMs();
       }
@@ -273,9 +278,16 @@ ConfigResult RunConfig(const Graph& g, const std::vector<SiteId>& part,
   result.metrics_json = server.MetricsJson();
   std::vector<double> all_latencies;
   all_latencies.reserve(total);
-  for (const std::vector<double>& per_client : latencies) {
-    all_latencies.insert(all_latencies.end(), per_client.begin(),
-                         per_client.end());
+  for (size_t kind = 0; kind < result.class_wall_p50_ms.size(); ++kind) {
+    std::vector<double> class_latencies;
+    for (const auto& per_client : latencies) {
+      class_latencies.insert(class_latencies.end(), per_client[kind].begin(),
+                             per_client[kind].end());
+    }
+    result.class_wall_p50_ms[kind] = Percentile(class_latencies, 0.50);
+    result.class_wall_p99_ms[kind] = Percentile(class_latencies, 0.99);
+    all_latencies.insert(all_latencies.end(), class_latencies.begin(),
+                         class_latencies.end());
   }
   result.wall_qps = static_cast<double>(all_latencies.size()) /
                     (wall_ms / 1000.0);
@@ -448,6 +460,19 @@ int Run(int argc, char** argv) {
   PrintRow({"adaptive", qps, FormatMs(batched.wall_p50_ms),
             FormatMs(batched.wall_p90_ms), FormatMs(batched.wall_p99_ms)});
 
+  PrintHeader("Wall-clock latency by class",
+              {"config", "reach-p50", "reach-p99", "dist-p50", "dist-p99",
+               "rpq-p50", "rpq-p99"});
+  for (const auto& [name, r] : {std::pair{"per-query", &single},
+                                std::pair{"adaptive", &batched}}) {
+    PrintRow({name, FormatMs(r->class_wall_p50_ms[0]),
+              FormatMs(r->class_wall_p99_ms[0]),
+              FormatMs(r->class_wall_p50_ms[1]),
+              FormatMs(r->class_wall_p99_ms[1]),
+              FormatMs(r->class_wall_p50_ms[2]),
+              FormatMs(r->class_wall_p99_ms[2])});
+  }
+
   std::printf(
       "\nExpected shape: adaptive coalesces each class's concurrent arrivals "
       "into one round, so throughput rises and the modeled per-query cost "
@@ -612,6 +637,12 @@ int Run(int argc, char** argv) {
                   {"wall_p50_ms", batched.wall_p50_ms},
                   {"wall_p90_ms", batched.wall_p90_ms},
                   {"wall_p99_ms", batched.wall_p99_ms},
+                  {"reach_wall_p50_ms", batched.class_wall_p50_ms[0]},
+                  {"reach_wall_p99_ms", batched.class_wall_p99_ms[0]},
+                  {"dist_wall_p50_ms", batched.class_wall_p50_ms[1]},
+                  {"dist_wall_p99_ms", batched.class_wall_p99_ms[1]},
+                  {"rpq_wall_p50_ms", batched.class_wall_p50_ms[2]},
+                  {"rpq_wall_p99_ms", batched.class_wall_p99_ms[2]},
                   // Chaos series (all zero when --chaos is off): recovery
                   // counters and the zero-rejection contract.
                   {"chaos", flags.chaos ? 1.0 : 0.0},

@@ -22,6 +22,7 @@ void FragmentContext::EnsureOset(const Fragment& f) {
   oset_locals_.reserve(f.num_virtual());
   oset_globals_.reserve(f.num_virtual());
   oset_index_.reserve(f.num_virtual());
+  oset_base_ = static_cast<NodeId>(f.num_local());
   for (NodeId v = static_cast<NodeId>(f.num_local());
        v < f.local_graph().NumNodes(); ++v) {
     const NodeId global = f.ToGlobal(v);
@@ -58,6 +59,44 @@ const std::vector<uint32_t>& FragmentContext::oset_comp(const Fragment& f) {
 uint32_t FragmentContext::OsetIndexOf(NodeId global) const {
   const auto it = oset_index_.find(global);
   return it == oset_index_.end() ? kNoIndex : it->second;
+}
+
+std::span<const NodeId> FragmentContext::BoundedSweep(const Fragment& f,
+                                                      NodeId root,
+                                                      uint32_t bound,
+                                                      SweepDirection dir) {
+  const Graph& g = f.local_graph();
+  if (sweep_stamp_.empty()) {
+    EnsureOset(f);
+    sweep_stamp_.assign(g.NumNodes(), 0);
+    sweep_hops_.assign(g.NumNodes(), 0);
+    is_in_node_.assign(g.NumNodes(), 0);
+    for (NodeId in : f.in_nodes()) is_in_node_[in] = 1;
+    ++section_builds_;
+  }
+  if (++sweep_epoch_ == 0) {  // wrapped: stale stamps could collide
+    std::fill(sweep_stamp_.begin(), sweep_stamp_.end(), 0);
+    sweep_epoch_ = 1;
+  }
+  sweep_queue_.clear();
+  sweep_queue_.push_back(root);
+  sweep_stamp_[root] = sweep_epoch_;
+  sweep_hops_[root] = 0;
+  for (size_t head = 0; head < sweep_queue_.size(); ++head) {
+    const NodeId v = sweep_queue_[head];
+    // The queue is in hop order, so nothing from here on may expand.
+    if (sweep_hops_[v] >= bound) break;
+    const std::span<const NodeId> next = dir == SweepDirection::kForward
+                                             ? g.OutNeighbors(v)
+                                             : g.InNeighbors(v);
+    for (NodeId w : next) {
+      if (sweep_stamp_[w] == sweep_epoch_) continue;
+      sweep_stamp_[w] = sweep_epoch_;
+      sweep_hops_[w] = sweep_hops_[v] + 1;
+      sweep_queue_.push_back(w);
+    }
+  }
+  return sweep_queue_;
 }
 
 const FragmentContext::ReachRows& FragmentContext::reach_rows(

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -35,7 +36,11 @@ namespace pereach {
 ///    capped), the fragment's label-compatible product graph over interior
 ///    states, its condensation, and the per-in-pair-group frontier rows —
 ///    the query-independent part of localEvalr, feeding the coordinator's
-///    product boundary graphs (BoundaryRpqIndex).
+///    product boundary graphs (BoundaryRpqIndex);
+///  - the endpoint-sweep scratch: per-local-node visit stamps, hop counts
+///    and an in-node flag, plus a reusable queue, so one dist query's
+///    bounded BFS at its s or t fragment costs O(nodes within the bound)
+///    instead of O(|fragment|).
 /// Sections build lazily so workloads only pay for what they touch.
 ///
 /// Thread-safety: one FragmentContext may be used by one thread at a time.
@@ -125,6 +130,40 @@ class FragmentContext {
   /// this fragment. Valid once any oset accessor ran.
   uint32_t OsetIndexOf(NodeId global) const;
 
+  /// Oset index of a local id, or kNoIndex for a stored node. The oset lists
+  /// the virtual nodes in local-id order and they follow the stored nodes,
+  /// so this is a subtraction. Valid once any oset accessor or BoundedSweep
+  /// ran.
+  uint32_t OsetIndexOfLocal(NodeId local) const {
+    return local >= oset_base_ ? local - oset_base_ : kNoIndex;
+  }
+
+  enum class SweepDirection { kForward, kReverse };
+
+  /// One bounded BFS from local node `root` over the out-edges (kForward) or
+  /// in-edges (kReverse) of f.local_graph(): returns exactly the nodes within
+  /// `bound` hops, in BFS order, and SweepHops() gives each one's hop count.
+  /// Runs over the context's epoch-stamped scratch, so it costs O(visited
+  /// nodes and their edges). The span and hop counts stay valid until the
+  /// next BoundedSweep on this context.
+  std::span<const NodeId> BoundedSweep(const Fragment& f, NodeId root,
+                                       uint32_t bound, SweepDirection dir);
+
+  /// Hop count of a node the latest BoundedSweep visited.
+  uint32_t SweepHops(NodeId v) const { return sweep_hops_[v]; }
+
+  /// True iff local node `v` is an in-node of the fragment. Valid once
+  /// BoundedSweep ran.
+  bool IsInNode(NodeId v) const { return is_in_node_[v] != 0; }
+
+  /// Test seam: the stamp epoch the next BoundedSweep increments, so tests
+  /// can reach the wrap-around without 2^32 sweeps. Only moves forward:
+  /// stamps left by earlier sweeps must stay below it.
+  void SetSweepEpochForTesting(uint32_t epoch) {
+    PEREACH_CHECK_GE(epoch, sweep_epoch_);
+    sweep_epoch_ = epoch;
+  }
+
   const ReachRows& reach_rows(const Fragment& f);
 
   const DistRows& dist_rows(const Fragment& f);
@@ -167,6 +206,7 @@ class FragmentContext {
 
   std::optional<Condensation> cond_;
   bool oset_built_ = false;
+  NodeId oset_base_ = 0;  // local id of the first virtual node
   std::vector<NodeId> oset_locals_;
   std::vector<NodeId> oset_globals_;
   std::unordered_map<NodeId, uint32_t> oset_index_;
@@ -174,6 +214,15 @@ class FragmentContext {
   std::optional<ReachRows> rows_;
   std::optional<DistRows> dist_rows_;
   std::optional<LabelIndex> label_index_;
+
+  // BoundedSweep scratch, sized on first use. A node is visited in the
+  // current sweep iff its stamp equals sweep_epoch_; 0 is never an epoch.
+  std::vector<uint32_t> sweep_stamp_;
+  std::vector<uint32_t> sweep_hops_;
+  std::vector<NodeId> sweep_queue_;
+  std::vector<uint8_t> is_in_node_;
+  uint32_t sweep_epoch_ = 0;
+
   /// Evicts the least recently used product not touched since the last
   /// BeginRpqRound; returns false when every slot is pinned.
   bool EvictRpqLru();

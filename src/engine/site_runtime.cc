@@ -192,37 +192,38 @@ void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
     return;
   }
 
+  // Each side is one bounded BFS over the context's scratch (localEvald
+  // from a single node), so a frame costs O(nodes within the bound).
   uint64_t local_dist = kInfWeight;
   std::vector<std::pair<uint32_t, uint32_t>> s_out;
   if (s_here) {
-    // One bounded sweep from s over the oset plus t's local copy; a virtual
-    // copy of t folds into the short-circuit by global id, like localEvald's
-    // base column.
-    const std::vector<NodeId>& oset_locals = ctx->oset_locals(f);
-    const std::vector<NodeId>& oset_globals = ctx->oset_globals(f);
-    std::vector<NodeId> targets = oset_locals;
-    if (t_here) targets.push_back(f.ToLocal(t));
-    const std::vector<NodeId> source = {f.ToLocal(s)};
-    ForEachBoundedDistance(
-        f.local_graph(), source, targets, bound, /*block_bits=*/256,
-        [&](uint32_t, uint32_t ti, uint32_t hops) {
-          if (ti >= oset_globals.size() || oset_globals[ti] == t) {
-            local_dist = std::min<uint64_t>(local_dist, hops);
-          } else {
-            s_out.emplace_back(ti, hops);
-          }
-        });
+    // Exits are the visited virtual nodes. Reaching t's copy here, stored
+    // or virtual (the cross edge completes the path, like localEvald's base
+    // column), is the local short-circuit instead.
+    const NodeId t_copy = f.ToLocal(t);
+    for (NodeId v :
+         ctx->BoundedSweep(f, f.ToLocal(s), bound,
+                           FragmentContext::SweepDirection::kForward)) {
+      const uint32_t idx = ctx->OsetIndexOfLocal(v);
+      if (v == t_copy) {
+        local_dist = ctx->SweepHops(v);
+      } else if (idx != FragmentContext::kNoIndex) {
+        s_out.emplace_back(idx, ctx->SweepHops(v));
+      }
+    }
     std::sort(s_out.begin(), s_out.end());
   }
 
+  // Entries are the in-nodes a reverse BFS from t visits, ascending by
+  // local id.
   std::vector<std::pair<NodeId, uint32_t>> t_in;
   if (t_here) {
-    const std::vector<NodeId> target = {f.ToLocal(t)};
-    ForEachBoundedDistance(
-        f.local_graph(), f.in_nodes(), target, bound, /*block_bits=*/64,
-        [&](uint32_t in_idx, uint32_t, uint32_t hops) {
-          t_in.emplace_back(f.ToGlobal(f.in_nodes()[in_idx]), hops);
-        });
+    for (NodeId v :
+         ctx->BoundedSweep(f, f.ToLocal(t), bound,
+                           FragmentContext::SweepDirection::kReverse)) {
+      if (ctx->IsInNode(v)) t_in.emplace_back(v, ctx->SweepHops(v));
+    }
+    std::sort(t_in.begin(), t_in.end());
   }
 
   uint8_t flags = 0;
@@ -242,8 +243,8 @@ void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
   }
   if (t_here) {
     body->PutVarint(t_in.size());
-    for (const auto& [global, hops] : t_in) {
-      body->PutVarint(global);
+    for (const auto& [in, hops] : t_in) {
+      body->PutVarint(f.ToGlobal(in));
       body->PutVarint(hops);
     }
   }

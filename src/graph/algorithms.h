@@ -95,7 +95,12 @@ std::vector<uint32_t> ForEachReachableTargetGrouped(
 /// dist(sources[i], targets[j]) <= bound (including dist 0 when a source is
 /// a target). Level-synchronous backward propagation of target bitsets along
 /// reversed edges, blocked like ForEachReachableTarget:
-/// O(bound * |E| * block_bits/64) per block, frontier-driven.
+/// O(bound * |E| * block_bits/64) per block, frontier-driven, plus
+/// O(|V|) scratch per call. Meant for MANY sources against many targets
+/// (the per-in-node dist rows, localEvald's full matrix), where one bitset
+/// word serves 64 targets at once. A single-endpoint sweep is a plain
+/// bounded BFS instead: it touches only the nodes within the bound
+/// (FragmentContext::BoundedSweep).
 void ForEachBoundedDistance(
     const Graph& g, const std::vector<NodeId>& sources,
     const std::vector<NodeId>& targets, uint32_t bound, size_t block_bits,

@@ -156,7 +156,7 @@ std::future<ServedAnswer> QueryServer::Submit(Query query, TenantId tenant) {
         over_quota = true;
       } else {
         ++tenant_count;
-        ++in_flight_;
+        unresolved_.fetch_add(1);
       }
     }
     if (over_quota) {
@@ -164,23 +164,20 @@ std::future<ServedAnswer> QueryServer::Submit(Query query, TenantId tenant) {
       return future;
     }
   } else {
-    MutexLock lock(&drain_mu_);
-    ++in_flight_;
+    unresolved_.fetch_add(1);
   }
   const TenantId pending_tenant = pending.tenant;
   const PushOutcome outcome = queues_[class_idx]->Push(std::move(pending));
   if (outcome != PushOutcome::kAccepted) {
-    {
+    if (options_.admission.tenant_quota > 0) {
       MutexLock lock(&drain_mu_);
-      if (options_.admission.tenant_quota > 0) {
-        const auto it = tenant_in_flight_.find(pending_tenant);
-        if (it != tenant_in_flight_.end() && --it->second == 0) {
-          tenant_in_flight_.erase(it);
-        }
+      const auto it = tenant_in_flight_.find(pending_tenant);
+      if (it != tenant_in_flight_.end() && --it->second == 0) {
+        tenant_in_flight_.erase(it);
       }
-      if (--in_flight_ == 0) drained_.NotifyAll();
     }
     Reject(&pending.promise, PushOutcomeToReason(outcome));
+    MarkResolved(1);
   }
   return future;
 }
@@ -224,9 +221,15 @@ uint64_t QueryServer::AddEdges(
   return epoch;
 }
 
+void QueryServer::MarkResolved(size_t n) {
+  if (unresolved_.fetch_sub(n) != n) return;
+  MutexLock lock(&drain_mu_);
+  drained_.NotifyAll();
+}
+
 void QueryServer::Drain() {
   MutexLock lock(&drain_mu_);
-  while (in_flight_ != 0) drained_.Wait(&drain_mu_);
+  while (unresolved_.load() != 0) drained_.Wait(&drain_mu_);
 }
 
 ServerStats QueryServer::stats() const {
@@ -311,25 +314,21 @@ void QueryServer::DispatcherLoop(size_t class_idx) {
       result = engine.EvaluateBatch(batch);
     }
 
-    const auto release_charges = [&] {
-      // Release the in-flight and tenant-quota charges BEFORE resolving the
-      // promises: a client that saw its future resolve must not be able to
-      // observe its own query still charged (a resubmit racing the books
-      // would be spuriously quota-rejected, and a quiesced server could
-      // show a non-zero tenants-in-flight gauge). Drain() consequently
-      // returns when all answers are computed, possibly a few set_value
-      // calls early.
+    const auto release_quota = [&] {
+      // Release the tenant-quota charges BEFORE resolving the promises: a
+      // client that saw its future resolve must not be able to observe its
+      // own query still charged (a resubmit racing the books would be
+      // spuriously quota-rejected, and a quiesced server could show a
+      // non-zero tenants-in-flight gauge). Drain() waits on unresolved_,
+      // which drops only once every promise is set.
+      if (options_.admission.tenant_quota == 0) return;
       MutexLock lock(&drain_mu_);
-      if (options_.admission.tenant_quota > 0) {
-        for (const PendingQuery& p : pending) {
-          const auto it = tenant_in_flight_.find(p.tenant);
-          if (it != tenant_in_flight_.end() && --it->second == 0) {
-            tenant_in_flight_.erase(it);
-          }
+      for (const PendingQuery& p : pending) {
+        const auto it = tenant_in_flight_.find(p.tenant);
+        if (it != tenant_in_flight_.end() && --it->second == 0) {
+          tenant_in_flight_.erase(it);
         }
       }
-      in_flight_ -= pending.size();
-      if (in_flight_ == 0) drained_.NotifyAll();
     };
 
     if (!result.status.ok()) {
@@ -339,10 +338,11 @@ void QueryServer::DispatcherLoop(size_t class_idx) {
       // released, nothing cached, no answered/latency books — and the
       // dispatcher keeps serving; the transport re-establishes lazily on
       // the next round.
-      release_charges();
+      release_quota();
       for (PendingQuery& p : pending) {
         Reject(&p.promise, RejectReason::kTransportError);
       }
+      MarkResolved(pending.size());
       continue;
     }
 
@@ -369,7 +369,7 @@ void QueryServer::DispatcherLoop(size_t class_idx) {
         result.metrics.wall_ms);
     last_answered_epoch_[class_idx].store(epoch, std::memory_order_relaxed);
 
-    release_charges();
+    release_quota();
     for (size_t i = 0; i < pending.size(); ++i) {
       // Feed the answer cache before resolving the promise: a client
       // resubmitting the moment its future resolves must hit. Insert
@@ -387,6 +387,7 @@ void QueryServer::DispatcherLoop(size_t class_idx) {
       served.batch_size = pending.size();
       pending[i].promise.set_value(std::move(served));
     }
+    MarkResolved(pending.size());
   }
 }
 

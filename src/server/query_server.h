@@ -189,6 +189,10 @@ class QueryServer {
   /// epoch, and bumps the rejection counters.
   void Reject(std::promise<ServedAnswer>* promise, RejectReason reason);
 
+  /// Marks `n` admitted queries as resolved (their promises are set) and
+  /// wakes Drain() when none remain.
+  void MarkResolved(size_t n);
+
   IncrementalReachIndex* index_;
   ServerOptions options_;
   Cluster cluster_;
@@ -212,11 +216,16 @@ class QueryServer {
   // across dispatcher joins and the writer-held listener detach.
   Mutex stop_mu_{LockRank::kServerStop};
 
-  // Drain and quota bookkeeping: queries submitted but not yet answered,
-  // total and per tenant. One lock: Submit and batch completion touch both.
+  // Drain and quota bookkeeping. Quota charges (tenant_in_flight_) are
+  // released BEFORE a batch's promises resolve; unresolved_ counts admitted
+  // queries whose promise is not yet set and drops only AFTER, so Drain
+  // waits for every future to be ready, not merely every answer computed.
+  // unresolved_ is atomic so Submit and batch completion skip the lock;
+  // its drop to zero notifies under drain_mu_, where Drain checks it, so
+  // the wake-up cannot be lost.
   mutable Mutex drain_mu_{LockRank::kServerDrain};
   CondVar drained_;
-  size_t in_flight_ PEREACH_GUARDED_BY(drain_mu_) = 0;
+  std::atomic<size_t> unresolved_{0};
   std::unordered_map<TenantId, size_t> tenant_in_flight_
       PEREACH_GUARDED_BY(drain_mu_);
 
