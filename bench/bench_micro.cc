@@ -20,10 +20,12 @@
 #include "src/core/incremental.h"
 #include "src/core/local_eval.h"
 #include "src/engine/fragment_context.h"
+#include "src/engine/partial_eval_engine.h"
 #include "src/engine/site_runtime.h"
 #include "src/fragment/partitioner.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
+#include "src/index/boundary_rpq_index.h"
 #include "src/index/reach_labels.h"
 #include "src/net/cluster.h"
 #include "src/regex/canonical.h"
@@ -229,6 +231,59 @@ void BM_RpqProductRowsCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_RpqProductRowsCacheHit)->Arg(2000)->Arg(10000);
 
+// Coordinator rebuild of one standing product boundary graph: Entry::Ensure
+// over the product rows of a LiveJournal stand-in (scale 0.001, 8 chunk
+// fragments) for automaton range(0) of a 4-regex Regex::Random(3, 1) pool —
+// the shape of the serving benchmark's rpq class, where every update epoch
+// pays one Ensure per cached automaton. Each iteration re-installs one
+// fragment's rows (untimed) so the entry is stale, then times the rebuild:
+// dense-id resolution, CSR, condensation, shortcuts and labels.
+void BM_RpqEntryEnsure(benchmark::State& state) {
+  constexpr size_t kSites = 8;
+  constexpr size_t kPool = 4;
+  Rng rng(g_seed);
+  std::vector<CanonicalAutomaton> pool;
+  for (size_t i = 0; i < kPool; ++i) {
+    pool.push_back(Canonicalize(
+        QueryAutomaton::FromRegex(Regex::Random(3, 1, &rng)).value()));
+  }
+  const CanonicalAutomaton& canon = pool[static_cast<size_t>(state.range(0))];
+  const Graph g = MakeDataset(Dataset::kLiveJournal, 0.001, &rng);
+  const Fragmentation frag = Fragmentation::Build(
+      g, ChunkPartitioner().Partition(g, kSites, &rng), kSites);
+  std::vector<ProductBoundaryRows> rows;
+  for (SiteId s = 0; s < kSites; ++s) {
+    FragmentContext ctx;
+    rows.push_back(BuildProductBoundaryRows(
+        frag.fragment(s), &ctx, canon.signature.key, canon.automaton));
+  }
+  BoundaryRpqIndex index(kSites, /*max_entries=*/1,
+                         PartialEvalOptions{}.shortcut_budget);
+  BoundaryRpqIndex::Entry& entry = index.GetEntry(canon.signature);
+  for (SiteId s = 0; s < kSites; ++s) entry.SetFragmentRows(s, rows[s]);
+  size_t row_edges = 0;
+  for (const ProductBoundaryRows& r : rows) {
+    for (const auto& row : r.rows) row_edges += row.size();
+    row_edges += r.aliases.size();
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    entry.SetFragmentRows(0, rows[0]);
+    state.ResumeTiming();
+    entry.Ensure();
+    benchmark::DoNotOptimize(entry.num_components());
+  }
+  state.counters["product_nodes"] =
+      static_cast<double>(entry.num_product_nodes());
+  state.counters["row_edges"] = static_cast<double>(row_edges);
+  state.counters["components"] = static_cast<double>(entry.num_components());
+  state.counters["cond_edges"] = static_cast<double>(entry.num_edges());
+}
+BENCHMARK(BM_RpqEntryEnsure)
+    ->ArgName("automaton")
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
+
 // --- dist endpoint sweep frame ----------------------------------------------
 
 // One site's half of an indexed dist query on one fragment of a LiveJournal
@@ -319,6 +374,17 @@ BENCHMARK_TEMPLATE(BM_LocalEvalReachForm, EquationForm::kAuto)->Arg(10000);
 
 // --- coordinator reach core: 64 scalar lookups vs one bit-parallel word -----
 
+/// Builds `labels` over the CSR of a raw edge list.
+void BuildLabels(ReachLabels* labels, size_t n,
+                 const std::vector<std::pair<uint32_t, uint32_t>>& edges,
+                 size_t shortcut_budget) {
+  GraphBuilder builder;
+  builder.AddNodes(n);
+  for (const auto& [u, v] : edges) builder.AddEdge(u, v);
+  const Graph g = std::move(builder).Build();
+  labels->Build(g.offsets(), g.targets(), shortcut_budget);
+}
+
 struct SweepBenchSetup {
   ReachLabels labels;
   std::vector<std::vector<uint32_t>> src;
@@ -340,7 +406,7 @@ void MakeSweepSetup(size_t n, size_t shortcut_budget, uint64_t seed,
     const uint32_t v = static_cast<uint32_t>(rng.Uniform(n));
     if (u != v) edges.emplace_back(u, v);
   }
-  setup->labels.Build(n, edges, shortcut_budget);
+  BuildLabels(&setup->labels, n, edges, shortcut_budget);
   setup->src.resize(64);
   setup->tgt.resize(64);
   setup->word.resize(64);
@@ -414,7 +480,7 @@ void BM_BitsetSweepShortcutDepth(benchmark::State& state) {
                                       rng.Uniform(n - u - 1)));
   }
   ReachLabels labels;
-  labels.Build(n, edges, static_cast<size_t>(state.range(1)));
+  BuildLabels(&labels, n, edges, static_cast<size_t>(state.range(1)));
   std::vector<std::vector<uint32_t>> src(64), tgt(64);
   std::vector<WordQuestion> word(64);
   for (size_t li = 0; li < 64; ++li) {

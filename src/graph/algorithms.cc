@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <utility>
 
 namespace pereach {
@@ -84,10 +85,11 @@ uint32_t BfsDistance(const Graph& g, NodeId s, NodeId t) {
   return kInfDistance;
 }
 
-SccResult StronglyConnectedComponents(const Graph& g) {
-  // Iterative Tarjan. Frames keep (node, next-edge-index) so the recursion
-  // is simulated without stack-depth limits on path-shaped graphs.
-  const size_t n = g.NumNodes();
+SccResult StronglyConnectedComponents(std::span<const size_t> offsets,
+                                      std::span<const NodeId> targets) {
+  // Iterative Tarjan. Frames keep (node, next edge position) so the
+  // recursion is simulated without stack-depth limits on path-shaped graphs.
+  const size_t n = offsets.empty() ? 0 : offsets.size() - 1;
   SccResult result;
   result.component_of.assign(n, 0);
 
@@ -102,21 +104,20 @@ SccResult StronglyConnectedComponents(const Graph& g) {
 
   for (NodeId root = 0; root < n; ++root) {
     if (index[root] != kUnvisited) continue;
-    frames.emplace_back(root, 0);
+    frames.emplace_back(root, offsets[root]);
     index[root] = lowlink[root] = next_index++;
     stack.push_back(root);
     on_stack[root] = true;
 
     while (!frames.empty()) {
       auto& [u, edge_i] = frames.back();
-      auto out = g.OutNeighbors(u);
-      if (edge_i < out.size()) {
-        const NodeId v = out[edge_i++];
+      if (edge_i < offsets[u + 1]) {
+        const NodeId v = targets[edge_i++];
         if (index[v] == kUnvisited) {
           index[v] = lowlink[v] = next_index++;
           stack.push_back(v);
           on_stack[v] = true;
-          frames.emplace_back(v, 0);
+          frames.emplace_back(v, offsets[v]);
         } else if (on_stack[v]) {
           lowlink[u] = std::min(lowlink[u], index[v]);
         }
@@ -144,30 +145,52 @@ SccResult StronglyConnectedComponents(const Graph& g) {
   return result;
 }
 
-Condensation Condense(const Graph& g) {
+SccResult StronglyConnectedComponents(const Graph& g) {
+  return StronglyConnectedComponents(g.offsets(), g.targets());
+}
+
+Condensation Condense(std::span<const size_t> offsets,
+                      std::span<const NodeId> targets) {
   Condensation c;
-  c.scc = StronglyConnectedComponents(g);
+  c.scc = StronglyConnectedComponents(offsets, targets);
+  const std::vector<uint32_t>& comp = c.scc.component_of;
+  const size_t n = comp.size();
   const size_t k = c.scc.num_components;
 
-  // Count then fill deduplicated inter-component edges.
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    const uint32_t cu = c.scc.component_of[u];
-    for (NodeId v : g.OutNeighbors(u)) {
-      const uint32_t cv = c.scc.component_of[v];
-      if (cu != cv) edges.emplace_back(cu, cv);
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  // Members grouped by component (counting sort), so each component's
+  // out-list is assembled in one place.
+  std::vector<size_t> member_offsets(k + 1, 0);
+  for (const uint32_t cu : comp) ++member_offsets[cu + 1];
+  for (size_t i = 1; i <= k; ++i) member_offsets[i] += member_offsets[i - 1];
+  std::vector<NodeId> members(n);
+  std::vector<size_t> cursor(member_offsets.begin(), member_offsets.end() - 1);
+  for (NodeId u = 0; u < n; ++u) members[cursor[comp[u]]++] = u;
 
+  // Per component: a stamp array drops duplicate targets as they appear,
+  // then only that component's short list is sorted.
+  constexpr uint32_t kNoStamp = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> stamp(k, kNoStamp);
   c.offsets.assign(k + 1, 0);
-  for (const auto& [u, v] : edges) ++c.offsets[u + 1];
-  for (size_t i = 1; i <= k; ++i) c.offsets[i] += c.offsets[i - 1];
-  c.targets.resize(edges.size());
-  std::vector<size_t> cursor(c.offsets.begin(), c.offsets.end() - 1);
-  for (const auto& [u, v] : edges) c.targets[cursor[u]++] = v;
+  for (uint32_t cu = 0; cu < k; ++cu) {
+    const size_t begin = c.targets.size();
+    for (size_t m = member_offsets[cu]; m < member_offsets[cu + 1]; ++m) {
+      const NodeId u = members[m];
+      for (size_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+        const uint32_t cv = comp[targets[e]];
+        if (cv == cu || stamp[cv] == cu) continue;
+        stamp[cv] = cu;
+        c.targets.push_back(cv);
+      }
+    }
+    std::sort(c.targets.begin() + static_cast<ptrdiff_t>(begin),
+              c.targets.end());
+    c.offsets[cu + 1] = c.targets.size();
+  }
   return c;
+}
+
+Condensation Condense(const Graph& g) {
+  return Condense(g.offsets(), g.targets());
 }
 
 std::vector<Bitset> ReachableTargets(const Graph& g,

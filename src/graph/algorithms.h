@@ -2,6 +2,7 @@
 #define PEREACH_GRAPH_ALGORITHMS_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -33,9 +34,17 @@ struct SccResult {
   size_t num_components = 0;
 };
 
+/// The graph is given in CSR form over dense ids [0, n): the out-neighbors
+/// of v are targets[offsets[v] .. offsets[v + 1]), so `offsets` holds n + 1
+/// entries (or none, for the empty graph). The Graph overload forwards its
+/// own CSR arrays.
+SccResult StronglyConnectedComponents(std::span<const size_t> offsets,
+                                      std::span<const NodeId> targets);
 SccResult StronglyConnectedComponents(const Graph& g);
 
-/// Condensation DAG of g: one node per SCC, deduplicated edges.
+/// Condensation DAG of g: one node per SCC, deduplicated edges. Component c's
+/// targets are exactly the other components its members point to, ascending
+/// and without duplicates.
 struct Condensation {
   SccResult scc;
   // Adjacency of the condensation in CSR form (component -> components).
@@ -43,6 +52,10 @@ struct Condensation {
   std::vector<uint32_t> targets;
 };
 
+/// O(|V| + |E|) plus a sort of each component's own (de-duplicated)
+/// out-list; there is no global edge sort. CSR input as above.
+Condensation Condense(std::span<const size_t> offsets,
+                      std::span<const NodeId> targets);
 Condensation Condense(const Graph& g);
 
 /// For every node v, the set of target indices i such that v reaches

@@ -33,17 +33,12 @@ bool Graph::HasEdge(NodeId u, NodeId v) const {
 }
 
 void Graph::BuildReverse() const {
-  const size_t n = NumNodes();
-  rev_offsets_.assign(n + 1, 0);
-  for (NodeId t : targets_) ++rev_offsets_[t + 1];
-  for (size_t i = 1; i <= n; ++i) rev_offsets_[i] += rev_offsets_[i - 1];
-  rev_targets_.resize(targets_.size());
-  std::vector<size_t> cursor(rev_offsets_.begin(), rev_offsets_.end() - 1);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : OutNeighbors(u)) {
-      rev_targets_[cursor[v]++] = u;
+  const auto reversed_edges = [this](auto&& emit) {
+    for (NodeId u = 0; u < NumNodes(); ++u) {
+      for (NodeId v : OutNeighbors(u)) emit(v, u);
     }
-  }
+  };
+  CountSortCsr(NumNodes(), reversed_edges, &rev_offsets_, &rev_targets_);
   reverse_built_ = true;
 }
 
@@ -70,12 +65,10 @@ Graph GraphBuilder::Build() && {
   Graph g;
   const size_t n = labels_.size();
   g.labels_ = std::move(labels_);
-  g.offsets_.assign(n + 1, 0);
-  for (const auto& [u, v] : edges_) ++g.offsets_[u + 1];
-  for (size_t i = 1; i <= n; ++i) g.offsets_[i] += g.offsets_[i - 1];
-  g.targets_.resize(edges_.size());
-  std::vector<size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const auto& [u, v] : edges_) g.targets_[cursor[u]++] = v;
+  const auto edge_list = [this](auto&& emit) {
+    for (const auto& [u, v] : edges_) emit(u, v);
+  };
+  CountSortCsr(n, edge_list, &g.offsets_, &g.targets_);
   return g;
 }
 

@@ -12,6 +12,23 @@
 
 namespace pereach {
 
+/// Builds a CSR over `num_nodes` dense ids by counting sort, straight from an
+/// edge enumerator: `for_each_edge(emit)` calls emit(u, v) once per edge
+/// u -> v and must enumerate the same sequence on each of its two calls (a
+/// counting pass, then a placing pass). Each node's out-list keeps
+/// enumeration order, and no edge-pair list is materialised.
+template <typename ForEachEdge>
+void CountSortCsr(size_t num_nodes, const ForEachEdge& for_each_edge,
+                  std::vector<size_t>* offsets,
+                  std::vector<uint32_t>* targets) {
+  offsets->assign(num_nodes + 1, 0);
+  for_each_edge([&](uint32_t u, uint32_t) { ++(*offsets)[u + 1]; });
+  for (size_t i = 1; i <= num_nodes; ++i) (*offsets)[i] += (*offsets)[i - 1];
+  targets->resize(offsets->back());
+  std::vector<size_t> cursor(offsets->begin(), offsets->end() - 1);
+  for_each_edge([&](uint32_t u, uint32_t v) { (*targets)[cursor[u]++] = v; });
+}
+
 /// Bidirectional mapping between label strings (e.g. "DB", "HR") and dense
 /// LabelIds. A dictionary is shared by a graph and the queries posed on it.
 class LabelDictionary {
@@ -65,6 +82,11 @@ class Graph {
   }
 
   const std::vector<LabelId>& labels() const { return labels_; }
+
+  /// The forward CSR arrays: OutNeighbors(v) is
+  /// targets()[offsets()[v] .. offsets()[v + 1]).
+  std::span<const size_t> offsets() const { return offsets_; }
+  std::span<const NodeId> targets() const { return targets_; }
 
   /// True if edge (u, v) exists (linear scan of u's list; test helper).
   bool HasEdge(NodeId u, NodeId v) const;

@@ -135,6 +135,10 @@ void BoundaryDistIndex::Ensure() {
   // row" lives on the carrier — the aux-variable trick of the DAG equation
   // form, applied to the standing graph. Singleton groups skip the carrier
   // and keep the fan-out on the rep itself.
+  //
+  // Each site's oset table is resolved to dense ids once; row edges index
+  // that array instead of hashing their target.
+  std::vector<std::vector<uint32_t>> oset_dense(num_fragments_);
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const WeightedBoundaryRows& fr = fragment_rows_[s];
     for (const NodeId g : fr.rep_globals) intern(g);
@@ -142,7 +146,8 @@ void BoundaryDistIndex::Ensure() {
       intern(member);
       intern(rep);
     }
-    for (const NodeId g : fr.oset_globals) intern(g);
+    oset_dense[s].reserve(fr.oset_globals.size());
+    for (const NodeId g : fr.oset_globals) oset_dense[s].push_back(intern(g));
   }
   // Carriers take dense ids after the whole boundary universe.
   uint32_t next_aux = static_cast<uint32_t>(node_of_.size());
@@ -169,7 +174,7 @@ void BoundaryDistIndex::Ensure() {
         }
       }
       for (const auto& [idx, hops] : fr.rows[g]) {
-        edges.push_back({carrier, intern(fr.oset_globals[idx]), hops});
+        edges.push_back({carrier, oset_dense[s][idx], hops});
       }
     }
   }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <utility>
 
+#include "src/graph/graph.h"
 #include "src/util/logging.h"
 
 namespace pereach {
@@ -114,31 +116,62 @@ void BoundaryReachIndex::Ensure() {
   // Intern the boundary-node universe (global id -> dense id). Every
   // virtual node is an in-node of the fragment storing its real copy, so
   // interning reps, alias members and row targets covers the whole V_f.
+  // Each site's reps, aliases and referenced oset entries are resolved to
+  // dense ids once, in order of first appearance (a group's rep, then the
+  // oset entries its row names first; then alias members and their reps);
+  // rows then index these arrays, so no row edge is hashed.
   dense_of_.clear();
   auto intern = [this](NodeId g) {
     return dense_of_.emplace(g, static_cast<uint32_t>(dense_of_.size()))
         .first->second;
   };
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  constexpr uint32_t kUnresolved = std::numeric_limits<uint32_t>::max();
+  std::vector<std::vector<uint32_t>> oset_dense(num_fragments_);
+  std::vector<std::vector<uint32_t>> rep_dense(num_fragments_);
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> alias_dense(
+      num_fragments_);
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const BoundaryRows& fr = fragment_rows_[s];
+    oset_dense[s].assign(fr.oset_globals.size(), kUnresolved);
+    rep_dense[s].reserve(fr.rep_globals.size());
     for (size_t g = 0; g < fr.rep_globals.size(); ++g) {
-      const uint32_t rep = intern(fr.rep_globals[g]);
-      for (uint32_t idx : fr.rows[g]) {
-        edges.emplace_back(rep, intern(fr.oset_globals[idx]));
+      rep_dense[s].push_back(intern(fr.rep_globals[g]));
+      for (const uint32_t idx : fr.rows[g]) {
+        if (oset_dense[s][idx] == kUnresolved) {
+          oset_dense[s][idx] = intern(fr.oset_globals[idx]);
+        }
       }
     }
-    // An alias member reaches its representative inside the fragment (same
-    // local SCC), so a single member -> rep edge stands in for the member's
-    // whole row; the rep carries the fan-out once per group.
+    alias_dense[s].reserve(fr.aliases.size());
     for (const auto& [member, rep] : fr.aliases) {
-      edges.emplace_back(intern(member), intern(rep));
+      // Member first: the interning order fixes the dense ids.
+      const uint32_t m = intern(member);
+      alias_dense[s].emplace_back(m, intern(rep));
     }
   }
 
+  // Rows count-sort straight into the CSR. An alias member reaches its
+  // representative inside the fragment (same local SCC), so a single
+  // member -> rep edge stands in for the member's whole row; the rep
+  // carries the fan-out once per group.
+  std::vector<size_t> offsets;
+  std::vector<uint32_t> targets;
+  const auto row_edges = [&](auto&& emit) {
+    for (SiteId s = 0; s < num_fragments_; ++s) {
+      const BoundaryRows& fr = fragment_rows_[s];
+      for (size_t g = 0; g < fr.rows.size(); ++g) {
+        for (const uint32_t idx : fr.rows[g]) {
+          emit(rep_dense[s][g], oset_dense[s][idx]);
+        }
+      }
+      for (const auto& [m, rep] : alias_dense[s]) emit(m, rep);
+    }
+  };
+  CountSortCsr(dense_of_.size(), row_edges, &offsets, &targets);
+
   // Condensation + GRAIL labels: the coordinator core shared with the
   // product boundary graph (see ReachLabels).
-  labels_.Build(dense_of_.size(), edges, shortcut_budget_);
+  labels_.Build(offsets, targets, shortcut_budget_);
   stale_ = false;
   ++rebuild_count_;
 }

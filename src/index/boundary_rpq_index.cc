@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "src/graph/graph.h"
 #include "src/regex/query_automaton.h"
 #include "src/util/logging.h"
 
@@ -138,33 +139,53 @@ void BoundaryRpqIndex::Entry::Ensure() {
   // is an in-pair of w's owner fragment (same label, hence same compatible
   // states), so reps and alias members cover those; the accept pairs
   // (w, u_t) exist only in the tables, so the whole table is interned too —
-  // that also keeps every possible sweep exit resolvable.
+  // that also keeps every possible sweep exit resolvable. Each site's table,
+  // reps and alias members are resolved to dense ids once, site by site in
+  // that order; rows then index these arrays, so no row edge is hashed.
   dense_of_.clear();
   auto intern = [this](ProductPair p) {
     return dense_of_
         .emplace(PackPair(p), static_cast<uint32_t>(dense_of_.size()))
         .first->second;
   };
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  std::vector<std::vector<uint32_t>> table_dense(num_fragments_);
+  std::vector<std::vector<uint32_t>> rep_dense(num_fragments_);
+  std::vector<std::vector<uint32_t>> member_dense(num_fragments_);
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const ProductBoundaryRows& fr = fragment_rows_[s];
-    const std::vector<ProductPair>& table = site_table_[s];
-    for (const ProductPair& p : table) intern(p);
-    for (size_t g = 0; g < fr.rep_pairs.size(); ++g) {
-      const uint32_t rep = intern(fr.rep_pairs[g]);
-      for (uint32_t idx : fr.rows[g]) {
-        edges.emplace_back(rep, intern(table[idx]));
-      }
+    table_dense[s].reserve(site_table_[s].size());
+    for (const ProductPair& p : site_table_[s]) {
+      table_dense[s].push_back(intern(p));
     }
-    // An alias member reaches its group representative inside the
-    // fragment's product (same product SCC), so a single member -> rep edge
-    // stands in for the member's whole row.
-    for (const auto& [member, group] : fr.aliases) {
-      edges.emplace_back(intern(member), intern(fr.rep_pairs[group]));
+    rep_dense[s].reserve(fr.rep_pairs.size());
+    for (const ProductPair& p : fr.rep_pairs) rep_dense[s].push_back(intern(p));
+    member_dense[s].reserve(fr.aliases.size());
+    for (const auto& alias : fr.aliases) {
+      member_dense[s].push_back(intern(alias.first));
     }
   }
 
-  labels_.Build(dense_of_.size(), edges, shortcut_budget_);
+  // Rows count-sort straight into the CSR. An alias member reaches its group
+  // representative inside the fragment's product (same product SCC), so a
+  // single member -> rep edge stands in for the member's whole row.
+  std::vector<size_t> offsets;
+  std::vector<uint32_t> targets;
+  const auto row_edges = [&](auto&& emit) {
+    for (SiteId s = 0; s < num_fragments_; ++s) {
+      const ProductBoundaryRows& fr = fragment_rows_[s];
+      for (size_t g = 0; g < fr.rows.size(); ++g) {
+        for (const uint32_t idx : fr.rows[g]) {
+          emit(rep_dense[s][g], table_dense[s][idx]);
+        }
+      }
+      for (size_t a = 0; a < fr.aliases.size(); ++a) {
+        emit(member_dense[s][a], rep_dense[s][fr.aliases[a].second]);
+      }
+    }
+  };
+  CountSortCsr(dense_of_.size(), row_edges, &offsets, &targets);
+
+  labels_.Build(offsets, targets, shortcut_budget_);
   stale_ = false;
   ++rebuild_count_;
 }

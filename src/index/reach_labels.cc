@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/graph/algorithms.h"
-#include "src/graph/graph.h"
 
 namespace pereach {
 
@@ -107,23 +106,18 @@ uint64_t BitsetSweep::Run(std::span<const size_t> offsets,
 
 // --- ReachLabels -----------------------------------------------------------
 
-void ReachLabels::Build(size_t num_nodes,
-                        const std::vector<std::pair<uint32_t, uint32_t>>& edges,
+void ReachLabels::Build(std::span<const size_t> offsets,
+                        std::span<const uint32_t> targets,
                         size_t shortcut_budget) {
   ScopedExclusiveUse guard(&exclusive_use_);
-  // 1. Condense. The graph is built as a real Graph so the SCC /
-  // condensation machinery (and its reverse-topological id guarantee) is
-  // shared with the fragment-local path.
-  GraphBuilder builder;
-  builder.AddNodes(num_nodes);
-  for (const auto& [u, v] : edges) {
-    builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v));
-  }
-  const Condensation cond = Condense(std::move(builder).Build());
+  // 1. Condense. The SCC / condensation machinery (and its
+  // reverse-topological id guarantee) is shared with the fragment-local
+  // path; the owner's CSR is read in place.
+  Condensation cond = Condense(offsets, targets);
   num_comps_ = cond.scc.num_components;
-  component_of_ = cond.scc.component_of;
-  adj_offsets_ = cond.offsets;
-  adj_targets_ = cond.targets;
+  component_of_ = std::move(cond.scc.component_of);
+  adj_offsets_ = std::move(cond.offsets);
+  adj_targets_ = std::move(cond.targets);
   num_base_edges_ = adj_targets_.size();
 
   // 2. Shortcuts: spend the budget on transitive 2-hop edges before the
@@ -217,14 +211,18 @@ void ReachLabels::AddShortcuts(size_t budget) {
   });
   hubs.resize(std::min<size_t>(num_comps_, std::max<size_t>(4, budget / 8)));
 
+  // Only hub rows are ever probed (every candidate edge leaves a hub), so
+  // only their existing edges need to be known.
   std::unordered_set<uint64_t> seen;
-  seen.reserve(adj_targets_.size() + budget);
+  size_t hub_edges = 0;
+  for (const uint32_t h : hubs) hub_edges += out_deg[h];
+  seen.reserve(hub_edges + budget);
   const auto pack = [](uint32_t u, uint32_t v) {
     return (uint64_t{u} << 32) | v;
   };
-  for (uint32_t c = 0; c < num_comps_; ++c) {
-    for (size_t e = adj_offsets_[c]; e < adj_offsets_[c + 1]; ++e) {
-      seen.insert(pack(c, adj_targets_[e]));
+  for (const uint32_t h : hubs) {
+    for (size_t e = adj_offsets_[h]; e < adj_offsets_[h + 1]; ++e) {
+      seen.insert(pack(h, adj_targets_[e]));
     }
   }
 

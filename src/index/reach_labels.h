@@ -107,12 +107,12 @@ class ReachLabels {
  public:
   ReachLabels() = default;
 
-  /// Condenses the edge list over `num_nodes` dense ids and rebuilds the
-  /// labels from scratch; spends up to `shortcut_budget` extra transitive
-  /// edges on depth-cutting shortcuts. May be called repeatedly; each call
-  /// is a full rebuild. Edge endpoints must be < num_nodes.
-  void Build(size_t num_nodes,
-             const std::vector<std::pair<uint32_t, uint32_t>>& edges,
+  /// Condenses the CSR graph over dense ids [0, offsets.size() - 1) — the
+  /// out-neighbors of v are targets[offsets[v] .. offsets[v + 1]) — and
+  /// rebuilds the labels from scratch; spends up to `shortcut_budget` extra
+  /// transitive edges on depth-cutting shortcuts. May be called repeatedly;
+  /// each call is a full rebuild. Targets must be < the node count.
+  void Build(std::span<const size_t> offsets, std::span<const uint32_t> targets,
              size_t shortcut_budget = 0);
 
   /// Component of a dense node id (valid after Build).

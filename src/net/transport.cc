@@ -882,16 +882,17 @@ class SocketTransport : public Transport {
   }
 
   Status SpawnLocked(SiteId site, Connection* c) {
+    const std::string worker = "site " + std::to_string(site) + " worker";
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
-      return Status::Internal(std::string("transport: socketpair: ") +
+      return Status::Internal("transport: socketpair for " + worker + ": " +
                               std::strerror(errno));
     }
     const pid_t pid = ::fork();
     if (pid < 0) {
       ::close(sv[0]);
       ::close(sv[1]);
-      return Status::Internal(std::string("transport: fork: ") +
+      return Status::Internal("transport: fork of " + worker + ": " +
                               std::strerror(errno));
     }
     if (pid == 0) {

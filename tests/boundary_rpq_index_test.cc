@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/baselines/centralized.h"
 #include "src/core/incremental.h"
+#include "src/engine/fragment_context.h"
 #include "src/engine/partial_eval_engine.h"
+#include "src/engine/site_runtime.h"
 #include "src/fragment/partitioner.h"
 #include "src/graph/generators.h"
 #include "src/net/cluster.h"
@@ -129,6 +132,90 @@ TEST(BoundaryRpqIndexTest, HandBuiltProductGraphAnswers) {
   entry.Ensure();
   EXPECT_EQ(entry.rebuild_count(), 2u);
   EXPECT_TRUE(reaches({40, 2}, {20, 2}));
+}
+
+// ---------------------------------------------------------------------------
+// Rebuild determinism (DESIGN.md §9.5): an entry rebuilt after invalidation
+// and re-installation of the same rows equals a freshly built entry.
+
+TEST(BoundaryRpqIndexTest, RebuildAfterInvalidationMatchesFreshEntry) {
+  constexpr uint64_t kSeed = 90210;
+  constexpr size_t kSites = 4, kLabels = 2, kBudget = 64;
+  Rng rng(kSeed);
+  const size_t n = 120;
+  const Graph g = ErdosRenyi(n, 3 * n, kLabels, &rng);
+  const Fragmentation frag =
+      Fragmentation::Build(g, RandomPartition(n, kSites, &rng), kSites);
+
+  for (size_t trial = 0; trial < 4; ++trial) {
+    QueryAutomaton a = QueryAutomaton::WildcardStar();
+    if (trial > 0) {
+      a = QueryAutomaton::FromRegex(Regex::Random(3, kLabels, &rng)).value();
+    }
+    const CanonicalAutomaton canon = Canonicalize(a);
+    std::vector<ProductBoundaryRows> rows;
+    for (SiteId s = 0; s < kSites; ++s) {
+      FragmentContext ctx;
+      rows.push_back(BuildProductBoundaryRows(
+          frag.fragment(s), &ctx, canon.signature.key, canon.automaton));
+    }
+
+    BoundaryRpqIndex rebuilt_index(kSites, /*max_entries=*/1, kBudget);
+    BoundaryRpqIndex::Entry& rebuilt = rebuilt_index.GetEntry(canon.signature);
+    for (SiteId s = 0; s < kSites; ++s) rebuilt.SetFragmentRows(s, rows[s]);
+    rebuilt.Ensure();
+    const SiteId dirty = static_cast<SiteId>(rng.Uniform(kSites));
+    rebuilt_index.InvalidateFragment(dirty);
+    ASSERT_EQ(rebuilt.DirtySites(), std::vector<SiteId>{dirty});
+    rebuilt.SetFragmentRows(dirty, rows[dirty]);
+    rebuilt.Ensure();
+    ASSERT_EQ(rebuilt.rebuild_count(), 2u);
+
+    // Installed in reverse site order: the dense-id order must not depend
+    // on installation order, only on the rows.
+    BoundaryRpqIndex fresh_index(kSites, /*max_entries=*/1, kBudget);
+    BoundaryRpqIndex::Entry& fresh = fresh_index.GetEntry(canon.signature);
+    for (SiteId s = kSites; s-- > 0;) fresh.SetFragmentRows(s, rows[s]);
+    fresh.Ensure();
+
+    const std::string where =
+        "seed=" + std::to_string(kSeed) + " trial=" + std::to_string(trial);
+    EXPECT_EQ(rebuilt.num_product_nodes(), fresh.num_product_nodes()) << where;
+    EXPECT_EQ(rebuilt.num_components(), fresh.num_components()) << where;
+    EXPECT_EQ(rebuilt.num_edges(), fresh.num_edges()) << where;
+    EXPECT_EQ(rebuilt.shortcut_count(), fresh.shortcut_count()) << where;
+    EXPECT_GT(fresh.num_edges(), 0u) << where;
+
+    // Random pair sets drawn from the sites' pair tables (every table pair
+    // is a standing node).
+    const auto random_pairs = [&](std::vector<ProductPair>* out) {
+      out->clear();
+      const size_t count = 1 + rng.Uniform(3);
+      while (out->size() < count) {
+        const SiteId s = static_cast<SiteId>(rng.Uniform(kSites));
+        const size_t size = fresh.TableSize(s);
+        if (size == 0) continue;
+        out->push_back(
+            fresh.TablePair(s, static_cast<uint32_t>(rng.Uniform(size))));
+      }
+    };
+    std::vector<std::vector<ProductPair>> src(150), tgt(150);
+    std::vector<BoundaryRpqIndex::RpqQuestion> questions;
+    for (size_t q = 0; q < src.size(); ++q) {
+      random_pairs(&src[q]);
+      random_pairs(&tgt[q]);
+      questions.push_back({src[q], tgt[q]});
+    }
+    std::vector<uint8_t> rebuilt_answers, fresh_answers;
+    rebuilt.AnswerBatch(questions, &rebuilt_answers);
+    fresh.AnswerBatch(questions, &fresh_answers);
+    EXPECT_EQ(rebuilt_answers, fresh_answers) << where;
+    for (size_t q = 0; q < questions.size(); ++q) {
+      ASSERT_EQ(static_cast<bool>(fresh_answers[q]),
+                fresh.ReachesAny(src[q], tgt[q]))
+          << where << " question=" << q;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

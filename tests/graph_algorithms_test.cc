@@ -113,6 +113,63 @@ TEST(CondensationTest, EdgesGoToSmallerIds) {
   }
 }
 
+// Contract of the condensation CSR on graphs with self-loops and parallel
+// edges, n = 0..60: each component's targets are exactly the ascending,
+// de-duplicated set of OTHER components its members point to, and the Graph
+// and CSR-span entry points agree (the CSR built straight from the edge
+// sequence by CountSortCsr, not borrowed from the Graph).
+TEST(CondensationTest, CsrContractWithSelfLoopsAndParallelEdges) {
+  Rng rng(53);
+  for (size_t n = 0; n <= 60; ++n) {
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    if (n > 0) {
+      const size_t m = rng.Uniform(3 * n + 1);
+      for (size_t e = 0; e < m; ++e) {
+        const NodeId u = static_cast<NodeId>(rng.Uniform(n));
+        // One edge in ten is a self-loop.
+        const NodeId v =
+            rng.Bernoulli(0.1) ? u : static_cast<NodeId>(rng.Uniform(n));
+        edges.emplace_back(u, v);
+        if (rng.Bernoulli(0.2)) edges.emplace_back(u, v);  // parallel edge
+      }
+    }
+    const Graph g = MakeGraph(n, edges);
+    const Condensation c = Condense(g);
+    const std::vector<uint32_t>& comp = c.scc.component_of;
+    ASSERT_EQ(comp.size(), n);
+    ASSERT_EQ(c.offsets.size(), c.scc.num_components + 1) << "n=" << n;
+    ASSERT_EQ(c.offsets.back(), c.targets.size()) << "n=" << n;
+
+    std::vector<std::set<uint32_t>> expected(c.scc.num_components);
+    for (const auto& [u, v] : edges) {
+      if (comp[u] != comp[v]) expected[comp[u]].insert(comp[v]);
+    }
+    for (uint32_t cu = 0; cu < c.scc.num_components; ++cu) {
+      const std::vector<uint32_t> got(
+          c.targets.begin() + static_cast<ptrdiff_t>(c.offsets[cu]),
+          c.targets.begin() + static_cast<ptrdiff_t>(c.offsets[cu + 1]));
+      EXPECT_EQ(got, std::vector<uint32_t>(expected[cu].begin(),
+                                           expected[cu].end()))
+          << "n=" << n << " component=" << cu;
+    }
+
+    std::vector<size_t> offsets;
+    std::vector<uint32_t> targets;
+    const auto edge_list = [&edges](auto&& emit) {
+      for (const auto& [u, v] : edges) emit(u, v);
+    };
+    CountSortCsr(n, edge_list, &offsets, &targets);
+    const Condensation from_csr = Condense(offsets, targets);
+    EXPECT_EQ(from_csr.scc.component_of, c.scc.component_of) << "n=" << n;
+    EXPECT_EQ(from_csr.scc.num_components, c.scc.num_components)
+        << "n=" << n;
+    EXPECT_EQ(from_csr.offsets, c.offsets) << "n=" << n;
+    EXPECT_EQ(from_csr.targets, c.targets) << "n=" << n;
+    const SccResult scc = StronglyConnectedComponents(offsets, targets);
+    EXPECT_EQ(scc.component_of, c.scc.component_of) << "n=" << n;
+  }
+}
+
 TEST(TransitiveClosureTest, MatchesPairwiseBfs) {
   Rng rng(41);
   for (int trial = 0; trial < 10; ++trial) {

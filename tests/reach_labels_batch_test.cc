@@ -16,6 +16,7 @@
 
 #include "src/core/incremental.h"
 #include "src/engine/partial_eval_engine.h"
+#include "src/graph/graph.h"
 #include "src/net/cluster.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
@@ -65,6 +66,17 @@ std::vector<std::pair<uint32_t, uint32_t>> RandomEdges(size_t n, size_t m,
   return edges;
 }
 
+/// Builds `labels` over the CSR of a raw edge list.
+void BuildLabels(ReachLabels* labels, size_t n,
+                 const std::vector<std::pair<uint32_t, uint32_t>>& edges,
+                 size_t shortcut_budget) {
+  GraphBuilder builder;
+  builder.AddNodes(n);
+  for (const auto& [u, v] : edges) builder.AddEdge(u, v);
+  const Graph g = std::move(builder).Build();
+  labels->Build(g.offsets(), g.targets(), shortcut_budget);
+}
+
 /// Per-lane backing storage for a word (WordQuestion spans are views).
 struct WordStorage {
   std::vector<std::vector<uint32_t>> src;
@@ -103,11 +115,11 @@ TEST(ReachLabelsBatchTest, WordMatchesScalarAndOracleAcrossBudgets) {
     // Scalar reference over the unaugmented condensation; one word instance
     // per budget (shortcuts must never change an answer).
     ReachLabels scalar;
-    scalar.Build(n, edges, /*shortcut_budget=*/0);
+    BuildLabels(&scalar, n, edges, /*shortcut_budget=*/0);
 
     for (const size_t budget : kBudgets) {
       ReachLabels labels;
-      labels.Build(n, edges, budget);
+      BuildLabels(&labels, n, edges, budget);
       total_shortcuts += labels.shortcut_count();
       ASSERT_EQ(labels.num_edges(), scalar.num_edges())
           << "num_edges must not count shortcuts, seed=" << kSeed;
@@ -153,7 +165,7 @@ TEST(ReachLabelsBatchTest, AllLabelDecidedWordSkipsTheSweep) {
   const size_t n = 60;
   const auto edges = RandomEdges(n, 3 * n, &rng);
   ReachLabels labels;
-  labels.Build(n, edges, /*shortcut_budget=*/64);
+  BuildLabels(&labels, n, edges, /*shortcut_budget=*/64);
 
   // Reflexive lanes (sources == targets) are decided by the cu == cv label
   // verdict, so a full word of them must not enter the sweep.
@@ -186,7 +198,7 @@ TEST(ReachLabelsBatchTest, AllFallbackWordSweepsEveryLane) {
     // probe uses the SAME budget as the word instance below — shortcut
     // edges reshape the labels, so undecided-ness is budget-specific.
     ReachLabels probe;
-    probe.Build(n, edges, /*shortcut_budget=*/64);
+    BuildLabels(&probe, n, edges, /*shortcut_budget=*/64);
     std::vector<std::pair<uint32_t, uint32_t>> hard;
     for (size_t attempt = 0; attempt < 4000 && hard.size() < 64; ++attempt) {
       const uint32_t u = static_cast<uint32_t>(rng.Uniform(n));
@@ -202,7 +214,7 @@ TEST(ReachLabelsBatchTest, AllFallbackWordSweepsEveryLane) {
     // A word made entirely of undecided pairs: every lane must be answered
     // by the sweep (sweep_lanes grows by the lane count), and exactly.
     ReachLabels labels;
-    labels.Build(n, edges, /*shortcut_budget=*/64);
+    BuildLabels(&labels, n, edges, /*shortcut_budget=*/64);
     WordStorage word;
     for (const auto& [u, v] : hard) word.AddLane({u}, {v});
     const size_t lanes_before = labels.sweep_lanes();
@@ -224,7 +236,7 @@ TEST(ReachLabelsBatchTest, AllFallbackWordSweepsEveryLane) {
 
 TEST(ReachLabelsBatchTest, EmptySidesAnswerFalseLikeScalar) {
   ReachLabels labels;
-  labels.Build(4, {{3, 2}, {2, 1}, {1, 0}}, /*shortcut_budget=*/8);
+  BuildLabels(&labels, 4, {{3, 2}, {2, 1}, {1, 0}}, /*shortcut_budget=*/8);
   WordStorage word;
   word.AddLane({}, {0});       // no sources
   word.AddLane({3}, {});       // no targets
