@@ -5,6 +5,7 @@
 //  - partial-answer encoding: adaptive sparse/dense vs always-dense
 //  - query automaton construction cost
 //  - product graph construction for localEvalr
+//  - the rpq standing rows (product skeletons) and their coordinator rebuild
 //  - the dist endpoint sweep frame a site answers per indexed dist query
 //  - partitioner cost and cut quality
 //  - incremental index vs full disReach per query
@@ -195,9 +196,9 @@ void BM_AutomatonCanonicalize(benchmark::State& state) {
 BENCHMARK(BM_AutomatonCanonicalize)->Arg(4)->Arg(16)->Arg(60);
 
 // Product-row sweep, cache miss: every iteration rebuilds the fragment's
-// per-automaton product condensation and grouped frontier rows from
-// scratch — what a site pays on an entry's first use (or after an LRU
-// eviction / update invalidation).
+// per-automaton product condensation and standing rows from scratch — what
+// a site pays on an entry's first use (or after an LRU eviction / update
+// invalidation).
 void BM_RpqProductRowsCacheMiss(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Fragmentation frag = MakeBenchFragmentation(n, 4, g_seed + 31);
@@ -231,31 +232,81 @@ void BM_RpqProductRowsCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_RpqProductRowsCacheHit)->Arg(2000)->Arg(10000);
 
-// Coordinator rebuild of one standing product boundary graph: Entry::Ensure
-// over the product rows of a LiveJournal stand-in (scale 0.001, 8 chunk
-// fragments) for automaton range(0) of a 4-regex Regex::Random(3, 1) pool —
-// the shape of the serving benchmark's rpq class, where every update epoch
-// pays one Ensure per cached automaton. Each iteration re-installs one
-// fragment's rows (untimed) so the entry is stale, then times the rebuild:
-// dense-id resolution, CSR, condensation, shortcuts and labels.
-void BM_RpqEntryEnsure(benchmark::State& state) {
-  constexpr size_t kSites = 8;
-  constexpr size_t kPool = 4;
-  Rng rng(g_seed);
-  std::vector<CanonicalAutomaton> pool;
-  for (size_t i = 0; i < kPool; ++i) {
-    pool.push_back(Canonicalize(
-        QueryAutomaton::FromRegex(Regex::Random(3, 1, &rng)).value()));
+// The serving benchmark's rpq shape: a LiveJournal stand-in (scale 0.001,
+// 8 chunk fragments) and a 4-regex Regex::Random(3, 1) pool.
+struct RpqServingShape {
+  static constexpr size_t kSites = 8;
+  static constexpr size_t kPool = 4;
+
+  RpqServingShape() {
+    Rng rng(g_seed);
+    for (size_t i = 0; i < kPool; ++i) {
+      pool.push_back(Canonicalize(
+          QueryAutomaton::FromRegex(Regex::Random(3, 1, &rng)).value()));
+    }
+    const Graph g = MakeDataset(Dataset::kLiveJournal, 0.001, &rng);
+    frag = Fragmentation::Build(
+        g, ChunkPartitioner().Partition(g, kSites, &rng), kSites);
   }
-  const CanonicalAutomaton& canon = pool[static_cast<size_t>(state.range(0))];
-  const Graph g = MakeDataset(Dataset::kLiveJournal, 0.001, &rng);
-  const Fragmentation frag = Fragmentation::Build(
-      g, ChunkPartitioner().Partition(g, kSites, &rng), kSites);
+
+  std::vector<CanonicalAutomaton> pool;
+  Fragmentation frag;
+};
+
+// Skeleton (or closure) entries of one fragment's standing rows: term and
+// successor edges, the edges Entry::Ensure count-sorts besides aliases.
+size_t RowEntries(const ProductBoundaryRows& rows) {
+  size_t entries = 0;
+  for (size_t node = 0; node < rows.rows.size(); ++node) {
+    entries += rows.rows[node].size() + rows.succs[node].size();
+  }
+  return entries;
+}
+
+// Site-side standing rows (the context.rpq_rows layer): every iteration
+// builds all 8 fragments' ProductBoundaryRows for automaton range(0) on
+// cold FragmentContexts — product, condensation, skeleton, re-encoding —
+// what each update cycle pays per cached automaton at the touched sites.
+void BM_RpqProductRows(benchmark::State& state) {
+  const RpqServingShape shape;
+  const CanonicalAutomaton& canon =
+      shape.pool[static_cast<size_t>(state.range(0))];
+  size_t entries = 0, aux_nodes = 0;
+  for (auto _ : state) {
+    entries = aux_nodes = 0;
+    for (SiteId s = 0; s < RpqServingShape::kSites; ++s) {
+      FragmentContext ctx;
+      const ProductBoundaryRows rows = BuildProductBoundaryRows(
+          shape.frag.fragment(s), &ctx, canon.signature.key, canon.automaton);
+      entries += RowEntries(rows);
+      aux_nodes += rows.NumAux();
+    }
+    benchmark::DoNotOptimize(entries);
+  }
+  state.counters["row_entries"] = static_cast<double>(entries);
+  state.counters["aux_nodes"] = static_cast<double>(aux_nodes);
+}
+BENCHMARK(BM_RpqProductRows)
+    ->ArgName("automaton")
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
+
+// Coordinator rebuild of one standing product boundary graph: Entry::Ensure
+// over the product rows of the serving shape above for automaton range(0)
+// — every update epoch pays one Ensure per cached automaton. Each
+// iteration re-installs one fragment's rows (untimed) so the entry is
+// stale, then times the rebuild: dense-id resolution, CSR, condensation,
+// shortcuts and labels.
+void BM_RpqEntryEnsure(benchmark::State& state) {
+  const RpqServingShape shape;
+  const CanonicalAutomaton& canon =
+      shape.pool[static_cast<size_t>(state.range(0))];
+  constexpr size_t kSites = RpqServingShape::kSites;
   std::vector<ProductBoundaryRows> rows;
   for (SiteId s = 0; s < kSites; ++s) {
     FragmentContext ctx;
     rows.push_back(BuildProductBoundaryRows(
-        frag.fragment(s), &ctx, canon.signature.key, canon.automaton));
+        shape.frag.fragment(s), &ctx, canon.signature.key, canon.automaton));
   }
   BoundaryRpqIndex index(kSites, /*max_entries=*/1,
                          PartialEvalOptions{}.shortcut_budget);
@@ -263,8 +314,7 @@ void BM_RpqEntryEnsure(benchmark::State& state) {
   for (SiteId s = 0; s < kSites; ++s) entry.SetFragmentRows(s, rows[s]);
   size_t row_edges = 0;
   for (const ProductBoundaryRows& r : rows) {
-    for (const auto& row : r.rows) row_edges += row.size();
-    row_edges += r.aliases.size();
+    row_edges += RowEntries(r) + r.aliases.size();
   }
   for (auto _ : state) {
     state.PauseTiming();
@@ -275,6 +325,7 @@ void BM_RpqEntryEnsure(benchmark::State& state) {
   }
   state.counters["product_nodes"] =
       static_cast<double>(entry.num_product_nodes());
+  state.counters["aux_nodes"] = static_cast<double>(entry.num_aux_nodes());
   state.counters["row_edges"] = static_cast<double>(row_edges);
   state.counters["components"] = static_cast<double>(entry.num_components());
   state.counters["cond_edges"] = static_cast<double>(entry.num_edges());

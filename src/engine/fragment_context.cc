@@ -212,6 +212,68 @@ bool FragmentContext::EvictRpqLru() {
   return true;
 }
 
+void FragmentContext::BuildRpqSkeleton(RpqProduct* p) {
+  // The kept-component rule of ComputeBoundarySystem's kDag form: keep the
+  // product components an in-pair group reaches that reach a frontier pair.
+  // Frontier pairs sit at virtual nodes, which have no out-edges, so each is
+  // a sink alone in its component; kept predecessors list it as a term
+  // instead of pointing at a node of its own.
+  const Condensation& cond = p->cond;
+  const uint32_t k = static_cast<uint32_t>(cond.scc.num_components);
+  std::vector<uint32_t> table_of_comp(k, kNoIndex);
+  for (uint32_t i = 0; i < p->table_comp.size(); ++i) {
+    PEREACH_CHECK_EQ(table_of_comp[p->table_comp[i]], kNoIndex);
+    table_of_comp[p->table_comp[i]] = i;
+  }
+  // Component ids are reverse topological (every edge goes to a smaller
+  // id): an ascending scan finds what reaches the frontier, a descending
+  // scan what the groups reach.
+  std::vector<uint8_t> reaches_frontier(k, 0);
+  for (uint32_t c = 0; c < k; ++c) {
+    bool r = table_of_comp[c] != kNoIndex;
+    for (size_t e = cond.offsets[c]; e < cond.offsets[c + 1] && !r; ++e) {
+      r = reaches_frontier[cond.targets[e]] != 0;
+    }
+    reaches_frontier[c] = r ? 1 : 0;
+  }
+  std::vector<uint8_t> reached(k, 0);
+  for (const uint32_t c : p->group_comp) reached[c] = 1;
+  for (uint32_t c = k; c-- > 0;) {
+    if (reached[c] == 0) continue;
+    for (size_t e = cond.offsets[c]; e < cond.offsets[c + 1]; ++e) {
+      reached[cond.targets[e]] = 1;
+    }
+  }
+
+  // Skeleton nodes: the groups, then one aux node per other kept component
+  // in ascending component order.
+  std::vector<uint32_t> node_of(k, kNoIndex);
+  std::vector<uint32_t> node_comp = p->group_comp;
+  for (uint32_t g = 0; g < node_comp.size(); ++g) node_of[node_comp[g]] = g;
+  for (uint32_t c = 0; c < k; ++c) {
+    if (reached[c] != 0 && reaches_frontier[c] != 0 &&
+        table_of_comp[c] == kNoIndex && node_of[c] == kNoIndex) {
+      node_of[c] = static_cast<uint32_t>(node_comp.size());
+      node_comp.push_back(c);
+    }
+  }
+  p->rows.assign(node_comp.size(), {});
+  p->succs.assign(node_comp.size(), {});
+  for (uint32_t node = 0; node < node_comp.size(); ++node) {
+    const uint32_t c = node_comp[node];
+    for (size_t e = cond.offsets[c]; e < cond.offsets[c + 1]; ++e) {
+      const uint32_t succ = cond.targets[e];
+      if (table_of_comp[succ] != kNoIndex) {
+        p->rows[node].push_back(table_of_comp[succ]);
+      } else if (reaches_frontier[succ] != 0) {
+        p->succs[node].push_back(node_of[succ]);
+      }
+    }
+    std::sort(p->rows[node].begin(), p->rows[node].end());
+    std::sort(p->succs[node].begin(), p->succs[node].end());
+  }
+}
+
 const FragmentContext::RpqProduct& FragmentContext::rpq_product(
     const Fragment& f, const std::string& signature_key,
     const QueryAutomaton& canonical) {
@@ -316,8 +378,16 @@ const FragmentContext::RpqProduct& FragmentContext::rpq_product(
       sources.push_back(product_node);
     }
   }
-  p->rows.resize(p->group_rep.size());
-  if (!sources.empty() && !targets.empty()) {
+  BuildRpqSkeleton(p.get());
+  // Size rule (Theorem 3): the closure rows hold at most groups × table
+  // entries, so a skeleton larger than that ships as closure rows instead.
+  size_t skeleton_entries = 0;
+  for (size_t node = 0; node < p->rows.size(); ++node) {
+    skeleton_entries += p->rows[node].size() + p->succs[node].size();
+  }
+  if (skeleton_entries > p->group_rep.size() * targets.size()) {
+    p->rows.assign(p->group_rep.size(), {});
+    p->succs.assign(p->group_rep.size(), {});
     const std::vector<uint32_t> sweep_groups = ForEachReachableTargetGrouped(
         p->cond, sources, targets, kRowBlockBits,
         [&p](uint32_t group, uint32_t table_idx) {

@@ -34,9 +34,10 @@ namespace pereach {
 ///  - the label index (regular reachability compatibility masks);
 ///  - the rpq products: per CANONICAL AUTOMATON (signature-keyed, LRU
 ///    capped), the fragment's label-compatible product graph over interior
-///    states, its condensation, and the per-in-pair-group frontier rows —
-///    the query-independent part of localEvalr, feeding the coordinator's
-///    product boundary graphs (BoundaryRpqIndex);
+///    states, its condensation, and its product skeleton (or, when that is
+///    larger, the per-in-pair-group closure rows) — the query-independent
+///    part of localEvalr, feeding the coordinator's product boundary graphs
+///    (BoundaryRpqIndex);
 ///  - the endpoint-sweep scratch: per-local-node visit stamps, hop counts
 ///    and an in-node flag, plus a reusable queue, so one dist query's
 ///    bounded BFS at its s or t fragment costs O(nodes within the bound)
@@ -82,9 +83,10 @@ class FragmentContext {
   /// carry u_t, because any virtual node may be some query's target and the
   /// hop that ACCEPTS into it is automaton-static (see DESIGN.md §9) — its
   /// SCC condensation, the flattened (oset entry, state) frontier table,
-  /// and per in-pair SCC group the reachable frontier rows. Everything a
-  /// query needs beyond this is two O(|cond|) sweeps at its endpoint
-  /// fragments.
+  /// the in-pair SCC groups, and the standing rows the coordinator builds
+  /// its product boundary graph from: the product skeleton, or the closure
+  /// rows when the skeleton would be larger. Everything a query needs
+  /// beyond this is two O(|cond|) sweeps at its endpoint fragments.
   struct RpqProduct {
     explicit RpqProduct(QueryAutomaton a) : automaton(std::move(a)) {}
 
@@ -102,7 +104,14 @@ class FragmentContext {
     std::vector<uint32_t> in_group;   // per in-pair -> group
     std::vector<uint32_t> group_rep;  // group -> in-pair index
     std::vector<uint32_t> group_comp; // group -> product component
-    std::vector<std::vector<uint32_t>> rows;  // group -> ascending table idx
+    // Standing rows, the product SKELETON (DESIGN.md §9.2): nodes
+    // [0, groups) are the in-pair groups, the rest one aux node per other
+    // product component a group reaches that reaches the frontier. Per
+    // node, the ascending table indices and skeleton nodes it steps to.
+    // When that would exceed groups × table entries, the closure rows
+    // instead: one node per group, its whole reachable frontier, no succs.
+    std::vector<std::vector<uint32_t>> rows;   // node -> ascending table idx
+    std::vector<std::vector<uint32_t>> succs;  // node -> ascending node idx
 
     /// Dense product id of (v, q); q must be set in compat[v].
     NodeId pid(NodeId v, uint32_t q) const {
@@ -179,10 +188,11 @@ class FragmentContext {
   void BeginRpqRound();
 
   /// The cached product structures for the canonical automaton behind
-  /// `signature_key`, building them (one product condensation + one grouped
-  /// sweep) on a miss. The cache holds at most kDefaultRpqCacheCap distinct
-  /// automata, LRU-evicted; rebuilding after an eviction is deterministic,
-  /// so rows re-fetched by the coordinator always match the sweeps.
+  /// `signature_key`, building them (one product condensation plus linear
+  /// scans for the skeleton) on a miss. The cache holds at most
+  /// kDefaultRpqCacheCap distinct automata, LRU-evicted; rebuilding after an
+  /// eviction is deterministic, so rows re-fetched by the coordinator always
+  /// match the sweeps.
   const RpqProduct& rpq_product(const Fragment& f,
                                 const std::string& signature_key,
                                 const QueryAutomaton& canonical);
@@ -203,6 +213,9 @@ class FragmentContext {
   };
 
   void EnsureOset(const Fragment& f);
+
+  /// Fills p->rows / p->succs with the product skeleton of p->cond.
+  static void BuildRpqSkeleton(RpqProduct* p);
 
   std::optional<Condensation> cond_;
   bool oset_built_ = false;

@@ -174,6 +174,7 @@ ProductBoundaryRows BuildProductBoundaryRows(
         {f.ToGlobal(p.in_pairs[rep].first), p.in_pairs[rep].second});
   }
   out.rows = p.rows;
+  out.succs = p.succs;
   for (size_t i = 0; i < p.in_pairs.size(); ++i) {
     const uint32_t g = p.in_group[i];
     if (p.group_rep[g] == i) continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <unordered_set>
 
 #include "src/util/logging.h"
 
@@ -49,13 +50,24 @@ WeightedBoundaryRows WeightedBoundaryRows::Deserialize(Decoder* dec) {
       prev += static_cast<uint32_t>(dec->GetVarint());
       idx = prev;
       hops = static_cast<uint32_t>(dec->GetVarint());
-      PEREACH_CHECK_LT(idx, out.oset_globals.size());
+      if (!dec->Require(idx < out.oset_globals.size(),
+                        "weighted boundary rows: oset index out of range")) {
+        return out;
+      }
     }
   }
   out.aliases.resize(dec->GetCount(2));
+  // Ensure places each member in its rep's group, so the rep must be one of
+  // this reply's group reps.
+  const std::unordered_set<NodeId> reps(out.rep_globals.begin(),
+                                        out.rep_globals.end());
   for (auto& [member, rep] : out.aliases) {
     member = static_cast<NodeId>(dec->GetVarint());
     rep = static_cast<NodeId>(dec->GetVarint());
+    if (!dec->Require(reps.count(rep) != 0,
+                      "weighted boundary rows: alias to an unknown rep")) {
+      return out;
+    }
   }
   return out;
 }

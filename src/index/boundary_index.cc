@@ -50,7 +50,10 @@ BoundaryRows BoundaryRows::Deserialize(Decoder* dec) {
     for (uint32_t& idx : out.rows[g]) {
       prev += static_cast<uint32_t>(dec->GetVarint());
       idx = prev;
-      PEREACH_CHECK_LT(idx, out.oset_globals.size());
+      if (!dec->Require(idx < out.oset_globals.size(),
+                        "boundary rows: oset index out of range")) {
+        return out;
+      }
     }
   }
   out.aliases.resize(dec->GetCount());

@@ -20,6 +20,32 @@ size_t ProductBoundaryRows::TableSize() const {
   return n;
 }
 
+namespace {
+
+// Ascending index lists: delta-encode, same trick as BoundaryRows.
+void PutAscending(const std::vector<uint32_t>& values, Encoder* enc) {
+  enc->PutVarint(values.size());
+  uint32_t prev = 0;
+  for (const uint32_t v : values) {
+    enc->PutVarint(v - prev);
+    prev = v;
+  }
+}
+
+// Decodes a PutAscending list; every value must be below `limit`.
+void GetAscending(Decoder* dec, size_t limit, const char* msg,
+                  std::vector<uint32_t>* out) {
+  out->resize(dec->GetCount());
+  uint32_t prev = 0;
+  for (uint32_t& v : *out) {
+    prev += static_cast<uint32_t>(dec->GetVarint());
+    v = prev;
+    if (!dec->Require(v < limit, msg)) return;
+  }
+}
+
+}  // namespace
+
 void ProductBoundaryRows::Serialize(Encoder* enc) const {
   PEREACH_CHECK_EQ(oset_globals.size(), oset_masks.size());
   enc->PutVarint(oset_globals.size());
@@ -27,18 +53,17 @@ void ProductBoundaryRows::Serialize(Encoder* enc) const {
     enc->PutVarint(oset_globals[j]);
     enc->PutU64(oset_masks[j]);
   }
-  PEREACH_CHECK_EQ(rep_pairs.size(), rows.size());
   enc->PutVarint(rep_pairs.size());
-  for (size_t g = 0; g < rep_pairs.size(); ++g) {
-    enc->PutVarint(rep_pairs[g].node);
-    enc->PutU8(rep_pairs[g].state);
-    enc->PutVarint(rows[g].size());
-    // Ascending table indices: delta-encode, same trick as BoundaryRows.
-    uint32_t prev = 0;
-    for (uint32_t idx : rows[g]) {
-      enc->PutVarint(idx - prev);
-      prev = idx;
-    }
+  for (const ProductPair& rep : rep_pairs) {
+    enc->PutVarint(rep.node);
+    enc->PutU8(rep.state);
+  }
+  PEREACH_CHECK_GE(rows.size(), rep_pairs.size());
+  PEREACH_CHECK_EQ(rows.size(), succs.size());
+  enc->PutVarint(rows.size());
+  for (size_t node = 0; node < rows.size(); ++node) {
+    PutAscending(rows[node], enc);
+    PutAscending(succs[node], enc);
   }
   enc->PutVarint(aliases.size());
   for (const auto& [member, group] : aliases) {
@@ -58,31 +83,45 @@ ProductBoundaryRows ProductBoundaryRows::Deserialize(Decoder* dec) {
     out.oset_masks[j] = dec->GetU64();
     // u_s never appears in a compatibility mask (it has no in-transitions
     // and matches no label); a set bit 0 marks a corrupt payload.
-    PEREACH_CHECK_EQ(out.oset_masks[j] & 1, uint64_t{0});
+    if (!dec->Require((out.oset_masks[j] & 1) == 0,
+                      "product rows: u_s bit in a compatibility mask")) {
+      return out;
+    }
   }
   const size_t table_size = out.TableSize();
-  const size_t groups = dec->GetCount(2);
-  out.rep_pairs.resize(groups);
-  out.rows.resize(groups);
-  for (size_t g = 0; g < groups; ++g) {
-    out.rep_pairs[g].node = static_cast<NodeId>(dec->GetVarint());
-    out.rep_pairs[g].state = dec->GetU8();
-    PEREACH_CHECK_LT(out.rep_pairs[g].state, QueryAutomaton::kMaxStates);
-    out.rows[g].resize(dec->GetCount());
-    uint32_t prev = 0;
-    for (uint32_t& idx : out.rows[g]) {
-      prev += static_cast<uint32_t>(dec->GetVarint());
-      idx = prev;
-      PEREACH_CHECK_LT(idx, table_size);
+  out.rep_pairs.resize(dec->GetCount(2));
+  for (ProductPair& rep : out.rep_pairs) {
+    rep.node = static_cast<NodeId>(dec->GetVarint());
+    rep.state = dec->GetU8();
+    if (!dec->Require(rep.state < QueryAutomaton::kMaxStates,
+                      "product rows: rep state out of range")) {
+      return out;
     }
+  }
+  const size_t nodes = dec->GetCount(2);
+  if (!dec->Require(nodes >= out.rep_pairs.size(),
+                    "product rows: fewer skeleton nodes than groups")) {
+    return out;
+  }
+  out.rows.resize(nodes);
+  out.succs.resize(nodes);
+  for (size_t node = 0; node < nodes; ++node) {
+    GetAscending(dec, table_size, "product rows: table index out of range",
+                 &out.rows[node]);
+    GetAscending(dec, nodes, "product rows: successor out of range",
+                 &out.succs[node]);
+    if (!dec->ok()) return out;
   }
   out.aliases.resize(dec->GetCount(3));
   for (auto& [member, group] : out.aliases) {
     member.node = static_cast<NodeId>(dec->GetVarint());
     member.state = dec->GetU8();
-    PEREACH_CHECK_LT(member.state, QueryAutomaton::kMaxStates);
     group = static_cast<uint32_t>(dec->GetVarint());
-    PEREACH_CHECK_LT(group, groups);
+    if (!dec->Require(member.state < QueryAutomaton::kMaxStates &&
+                          group < out.rep_pairs.size(),
+                      "product rows: bad alias")) {
+      return out;
+    }
   }
   return out;
 }
@@ -101,6 +140,8 @@ BoundaryRpqIndex::Entry::Entry(size_t num_fragments, size_t shortcut_budget)
 void BoundaryRpqIndex::Entry::SetFragmentRows(SiteId site,
                                               ProductBoundaryRows rows) {
   PEREACH_CHECK_LT(site, num_fragments_);
+  PEREACH_CHECK_GE(rows.rows.size(), rows.rep_pairs.size());
+  PEREACH_CHECK_EQ(rows.rows.size(), rows.succs.size());
   // Flatten the (oset entry, state) pairs in ascending (entry, state) order;
   // rows and sweep frames reference pairs by index into this table.
   std::vector<ProductPair>& table = site_table_[site];
@@ -149,7 +190,7 @@ void BoundaryRpqIndex::Entry::Ensure() {
         .first->second;
   };
   std::vector<std::vector<uint32_t>> table_dense(num_fragments_);
-  std::vector<std::vector<uint32_t>> rep_dense(num_fragments_);
+  std::vector<std::vector<uint32_t>> node_dense(num_fragments_);
   std::vector<std::vector<uint32_t>> member_dense(num_fragments_);
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const ProductBoundaryRows& fr = fragment_rows_[s];
@@ -157,15 +198,27 @@ void BoundaryRpqIndex::Entry::Ensure() {
     for (const ProductPair& p : site_table_[s]) {
       table_dense[s].push_back(intern(p));
     }
-    rep_dense[s].reserve(fr.rep_pairs.size());
-    for (const ProductPair& p : fr.rep_pairs) rep_dense[s].push_back(intern(p));
+    node_dense[s].reserve(fr.rows.size());
+    for (const ProductPair& p : fr.rep_pairs) {
+      node_dense[s].push_back(intern(p));
+    }
     member_dense[s].reserve(fr.aliases.size());
     for (const auto& alias : fr.aliases) {
       member_dense[s].push_back(intern(alias.first));
     }
   }
+  // Skeleton aux nodes are private to their fragment: dense ids after every
+  // pair, site by site, so pair ids do not depend on the skeleton shape.
+  uint32_t next_aux = static_cast<uint32_t>(dense_of_.size());
+  for (SiteId s = 0; s < num_fragments_; ++s) {
+    for (size_t a = 0; a < fragment_rows_[s].NumAux(); ++a) {
+      node_dense[s].push_back(next_aux++);
+    }
+  }
+  num_aux_ = next_aux - dense_of_.size();
 
-  // Rows count-sort straight into the CSR. An alias member reaches its group
+  // Term edges (node -> table pair) and successor edges (node -> node)
+  // count-sort straight into one CSR. An alias member reaches its group
   // representative inside the fragment's product (same product SCC), so a
   // single member -> rep edge stands in for the member's whole row.
   std::vector<size_t> offsets;
@@ -173,17 +226,21 @@ void BoundaryRpqIndex::Entry::Ensure() {
   const auto row_edges = [&](auto&& emit) {
     for (SiteId s = 0; s < num_fragments_; ++s) {
       const ProductBoundaryRows& fr = fragment_rows_[s];
-      for (size_t g = 0; g < fr.rows.size(); ++g) {
-        for (const uint32_t idx : fr.rows[g]) {
-          emit(rep_dense[s][g], table_dense[s][idx]);
+      const std::vector<uint32_t>& nodes = node_dense[s];
+      for (size_t node = 0; node < fr.rows.size(); ++node) {
+        for (const uint32_t idx : fr.rows[node]) {
+          emit(nodes[node], table_dense[s][idx]);
+        }
+        for (const uint32_t succ : fr.succs[node]) {
+          emit(nodes[node], nodes[succ]);
         }
       }
       for (size_t a = 0; a < fr.aliases.size(); ++a) {
-        emit(member_dense[s][a], rep_dense[s][fr.aliases[a].second]);
+        emit(member_dense[s][a], nodes[fr.aliases[a].second]);
       }
     }
   };
-  CountSortCsr(dense_of_.size(), row_edges, &offsets, &targets);
+  CountSortCsr(next_aux, row_edges, &offsets, &targets);
 
   labels_.Build(offsets, targets, shortcut_budget_);
   stale_ = false;
@@ -285,6 +342,7 @@ size_t BoundaryRpqIndex::Entry::ByteSize() const {
              fr.aliases.size() * sizeof(fr.aliases[0]) +
              site_table_[s].size() * sizeof(ProductPair);
     for (const auto& row : fr.rows) bytes += row.size() * sizeof(uint32_t);
+    for (const auto& succ : fr.succs) bytes += succ.size() * sizeof(uint32_t);
   }
   return bytes;
 }

@@ -38,33 +38,47 @@ struct ProductPair {
 ///    Flattening the (entry, state) pairs in ascending (j, state) order
 ///    yields the fragment's PAIR TABLE; rows and sweep frames reference
 ///    pairs by flattened index;
-///  - one row per in-pair PRODUCT-SCC GROUP: the group representative pair
-///    (global id, state) plus the ascending table indices of the pairs the
-///    group reaches in the fragment's product graph;
+///  - the fragment's PRODUCT SKELETON (DESIGN.md §9.2): nodes [0, groups)
+///    are the in-pair product-SCC groups, each named by its representative
+///    pair (global id, state); nodes [groups, rows.size()) are
+///    fragment-private aux nodes, one per other product component that an
+///    in-pair reaches and that reaches the frontier. Per node, `rows` lists
+///    the ascending table indices it steps to and `succs` the ascending
+///    skeleton nodes it steps to. A group reaches a table pair in the
+///    fragment's product iff some skeleton path leads from it to a node
+///    listing that pair. Closure rows are the special case with no aux
+///    nodes and no successors — what a fragment ships when its skeleton
+///    would be larger than groups × table size;
 ///  - one alias per non-representative in-pair, binding it to its group
 ///    (same product SCC, hence boundary-equivalent).
 struct ProductBoundaryRows {
   std::vector<NodeId> oset_globals;
-  std::vector<uint64_t> oset_masks;         // per entry: interior | u_t bit
-  std::vector<ProductPair> rep_pairs;       // one per group
-  std::vector<std::vector<uint32_t>> rows;  // group -> ascending table idx
+  std::vector<uint64_t> oset_masks;          // per entry: interior | u_t bit
+  std::vector<ProductPair> rep_pairs;        // one per group
+  std::vector<std::vector<uint32_t>> rows;   // node -> ascending table idx
+  std::vector<std::vector<uint32_t>> succs;  // node -> ascending node idx
   // (member pair, group index) for every in-pair that is not its group rep.
   std::vector<std::pair<ProductPair, uint32_t>> aliases;
 
   /// Number of flattened pair-table entries (sum of mask popcounts).
   size_t TableSize() const;
+  /// Skeleton nodes beyond the groups.
+  size_t NumAux() const { return rows.size() - rep_pairs.size(); }
 
   void Serialize(Encoder* enc) const;
+  /// Range-checks every index through Decoder::Require, so a malformed
+  /// payload fails a kStatus decoder instead of aborting.
   static ProductBoundaryRows Deserialize(Decoder* dec);
 };
 
 /// Coordinator-side reachability index over PRODUCT BOUNDARY GRAPHS — the
 /// piece that makes regular-path queries as fast as reach/dist: one standing
 /// graph per distinct query automaton (canonical signature), whose nodes are
-/// (boundary node, automaton state) pairs and whose edges (v,q) -> (w,q')
-/// assert that v's fragment can route a local path from v to its virtual
-/// copy of w while driving the automaton from q to q'. The edges are exactly
-/// the product closure rows the fragments cache query-independently
+/// (boundary node, automaton state) pairs plus each fragment's private
+/// skeleton aux nodes, and whose paths (v,q) ~> (w,q') assert that v's
+/// fragment can route a local path from v to its virtual copy of w while
+/// driving the automaton from q to q'. The edges are exactly the product
+/// skeletons the fragments cache query-independently
 /// (FragmentContext::RpqProduct), so a path in this graph composes
 /// label-compatible fragment-local path segments — reachability from the
 /// query's s-side exit pairs to its t-side accepting entries in this graph
@@ -109,7 +123,9 @@ class BoundaryRpqIndex {
     bool dirty() const { return stale_; }
 
     /// Rebuilds the product boundary graph, condensation and labels from
-    /// the cached per-fragment rows. Requires DirtySites() empty.
+    /// the cached per-fragment rows. Pairs take dense ids first; each
+    /// site's aux nodes come after all pairs, so they never reach
+    /// dense_of_ or a sweep frame. Requires DirtySites() empty.
     /// Idempotent when clean.
     void Ensure();
 
@@ -136,6 +152,8 @@ class BoundaryRpqIndex {
 
     // --- observability -----------------------------------------------------
     size_t num_product_nodes() const { return dense_of_.size(); }
+    /// Skeleton aux nodes across all fragments (graph nodes beyond pairs).
+    size_t num_aux_nodes() const { return num_aux_; }
     size_t num_components() const { return labels_.num_components(); }
     size_t num_edges() const { return labels_.num_edges(); }
     /// Full condensation + label rebuilds performed (dirty-epoch count —
@@ -172,6 +190,7 @@ class BoundaryRpqIndex {
 
     // Rebuilt structure (valid while !stale_).
     std::unordered_map<uint64_t, uint32_t> dense_of_;  // packed pair -> dense
+    size_t num_aux_ = 0;
     ReachLabels labels_;
 
     // AnswerBatch scratch (flat dense-id storage + the word under assembly).

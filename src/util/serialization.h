@@ -217,6 +217,13 @@ class Decoder {
     return failed_ ? Status::Corruption(error_) : Status::OK();
   }
 
+  /// Validates a decoded value (an index in range, a reserved bit clear):
+  /// returns `cond`, and a false `cond` fails the decoder exactly like a
+  /// malformed read — abort in kAbort mode, sticky Corruption in kStatus.
+  /// Payload decoders route every semantic check through here, never
+  /// through PEREACH_CHECK, so a bad peer reply cannot kill the server.
+  bool Require(bool cond, const char* msg) { return Check(cond, msg); }
+
  private:
   /// Returns true when `cond` holds. Otherwise aborts (kAbort) or marks the
   /// decoder failed and exhausts it so no later read touches the buffer

@@ -53,6 +53,31 @@ TEST(WeightedBoundaryRowsTest, SerializeRoundTrips) {
   EXPECT_EQ(back.aliases, rows.aliases);
 }
 
+// A row index outside the reply's own oset table, or an alias bound to a
+// node that is not one of the reply's reps (Ensure could not place it),
+// must fail a kStatus decoder (the engine turns that into MalformedReply),
+// never abort.
+TEST(WeightedBoundaryRowsTest, MalformedPayloadFailsTheDecoder) {
+  WeightedBoundaryRows bad_index;
+  bad_index.oset_globals = {3, 9};
+  bad_index.rep_globals = {12};
+  bad_index.rows = {{{1, 4}, {7, 2}}};
+  WeightedBoundaryRows bad_alias;
+  bad_alias.oset_globals = {3, 9};
+  bad_alias.rep_globals = {12};
+  bad_alias.rows = {{{1, 4}}};
+  bad_alias.aliases = {{14, 13}};
+
+  for (const WeightedBoundaryRows* rows : {&bad_index, &bad_alias}) {
+    Encoder enc;
+    rows->Serialize(&enc);
+    Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+    (void)WeightedBoundaryRows::Deserialize(&dec);
+    EXPECT_FALSE(dec.ok());
+    EXPECT_FALSE(dec.Done());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Direct index semantics on a hand-built weighted boundary graph
 

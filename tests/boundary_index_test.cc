@@ -51,6 +51,22 @@ TEST(BoundaryRowsTest, SerializeRoundTrips) {
   EXPECT_EQ(back.aliases, rows.aliases);
 }
 
+// A row index outside the reply's own oset table must fail a kStatus
+// decoder (the engine turns that into MalformedReply), never abort.
+TEST(BoundaryRowsTest, OutOfRangeRowIndexFailsTheDecoder) {
+  BoundaryRows rows;
+  rows.oset_globals = {3, 9};
+  rows.rep_globals = {12};
+  rows.rows = {{7}};
+
+  Encoder enc;
+  rows.Serialize(&enc);
+  Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+  (void)BoundaryRows::Deserialize(&dec);
+  EXPECT_FALSE(dec.ok());
+  EXPECT_FALSE(dec.Done());
+}
+
 // ---------------------------------------------------------------------------
 // Direct index semantics on a hand-built boundary graph
 

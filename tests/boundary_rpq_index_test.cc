@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "src/engine/partial_eval_engine.h"
 #include "src/engine/site_runtime.h"
 #include "src/fragment/partitioner.h"
+#include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/net/cluster.h"
 #include "src/regex/canonical.h"
@@ -48,9 +50,12 @@ TEST(ProductBoundaryRowsTest, SerializeRoundTrips) {
   // Entry 0: states {u_t, 2}; entry 1: {u_t} — flattened table size 3.
   rows.oset_masks = {(uint64_t{1} << kFinal) | (uint64_t{1} << 2),
                      uint64_t{1} << kFinal};
+  // Skeleton: groups 0 and 1, aux nodes 2 and 3. Successor lists point into
+  // both group nodes and aux nodes.
   rows.rep_pairs = {{10, 2}, {11, 3}};
-  rows.rows = {{0, 2}, {}};
-  rows.aliases = {{{12, 2}, 0}};
+  rows.rows = {{0, 2}, {}, {1}, {2}};
+  rows.succs = {{2}, {0, 3}, {3}, {}};
+  rows.aliases = {{{12, 2}, 0}, {{13, 3}, 1}};
 
   Encoder enc;
   rows.Serialize(&enc);
@@ -61,8 +66,226 @@ TEST(ProductBoundaryRowsTest, SerializeRoundTrips) {
   EXPECT_EQ(back.oset_masks, rows.oset_masks);
   EXPECT_EQ(back.rep_pairs, rows.rep_pairs);
   EXPECT_EQ(back.rows, rows.rows);
+  EXPECT_EQ(back.succs, rows.succs);
   EXPECT_EQ(back.aliases, rows.aliases);
   EXPECT_EQ(back.TableSize(), 3u);
+  EXPECT_EQ(back.NumAux(), 2u);
+}
+
+// A reply whose indices point outside its own tables must fail a kStatus
+// decoder (the engine turns that into MalformedReply), never abort.
+TEST(ProductBoundaryRowsTest, MalformedPayloadFailsTheDecoder) {
+  const auto valid = [] {
+    ProductBoundaryRows rows;
+    rows.oset_globals = {20};
+    rows.oset_masks = {(uint64_t{1} << kFinal) | (uint64_t{1} << 2)};
+    rows.rep_pairs = {{10, 2}};
+    rows.rows = {{0}, {1}};
+    rows.succs = {{1}, {}};
+    rows.aliases = {{{12, 2}, 0}};
+    return rows;
+  };
+  const auto encode = [](const ProductBoundaryRows& rows) {
+    Encoder enc;
+    rows.Serialize(&enc);
+    return enc.TakeBuffer();
+  };
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> tampered;
+  ProductBoundaryRows rows = valid();
+  rows.rows[1] = {7};  // table size 2
+  tampered.emplace_back("table index", encode(rows));
+  rows = valid();
+  rows.succs[0] = {5};  // 2 skeleton nodes
+  tampered.emplace_back("successor", encode(rows));
+  rows = valid();
+  rows.aliases[0].second = 3;  // 1 group
+  tampered.emplace_back("alias group", encode(rows));
+  rows = valid();
+  rows.oset_masks[0] |= 1;
+  tampered.emplace_back("u_s mask bit", encode(rows));
+  // Byte 13 is the node count, right after the one rep pair; 0 < 1 group.
+  tampered.emplace_back("nodes below groups", encode(valid()));
+  ASSERT_EQ(tampered.back().second[13], 2u);
+  tampered.back().second[13] = 0;
+
+  {
+    const std::vector<uint8_t> buf = encode(valid());
+    Decoder dec(buf, Decoder::OnError::kStatus);
+    (void)ProductBoundaryRows::Deserialize(&dec);
+    EXPECT_TRUE(dec.Done());
+  }
+  for (const auto& [what, buf] : tampered) {
+    Decoder dec(buf, Decoder::OnError::kStatus);
+    (void)ProductBoundaryRows::Deserialize(&dec);
+    EXPECT_FALSE(dec.ok()) << what;
+    EXPECT_FALSE(dec.Done()) << what;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The standing rows: skeleton semantics and the Theorem 3 size rule
+
+// Expands one group's skeleton paths into the table indices it reaches.
+std::vector<uint32_t> ExpandSkeleton(const ProductBoundaryRows& rows,
+                                     uint32_t group) {
+  std::vector<bool> seen(rows.rows.size(), false);
+  std::vector<uint32_t> stack = {group};
+  seen[group] = true;
+  std::vector<uint32_t> out;
+  while (!stack.empty()) {
+    const uint32_t node = stack.back();
+    stack.pop_back();
+    out.insert(out.end(), rows.rows[node].begin(), rows.rows[node].end());
+    for (const uint32_t succ : rows.succs[node]) {
+      if (!seen[succ]) {
+        seen[succ] = true;
+        stack.push_back(succ);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+// Builds one fragment's standing rows and checks that every group's
+// skeleton paths reach exactly the frontier pairs its product component
+// reaches — the closure rows the skeleton replaces — and that the rows
+// respect the size rule. Returns the rows.
+ProductBoundaryRows ExpectRowsMatchProductClosure(
+    const Fragment& f, const CanonicalAutomaton& canon) {
+  FragmentContext ctx;
+  ProductBoundaryRows rows = BuildProductBoundaryRows(
+      f, &ctx, canon.signature.key, canon.automaton);
+  const FragmentContext::RpqProduct& p =
+      ctx.rpq_product(f, canon.signature.key, canon.automaton);
+  EXPECT_EQ(rows.rows.size(), rows.succs.size());
+  EXPECT_GE(rows.rows.size(), rows.rep_pairs.size());
+
+  std::vector<NodeId> sources, targets;
+  for (const auto& [local, state] : p.in_pairs) {
+    sources.push_back(p.pid(local, state));
+  }
+  for (size_t i = 0; i < p.table_oset.size(); ++i) {
+    targets.push_back(
+        p.pid(ctx.oset_locals(f)[p.table_oset[i]], p.table_state[i]));
+  }
+  std::vector<std::vector<uint32_t>> closure(rows.rep_pairs.size());
+  if (!sources.empty() && !targets.empty()) {
+    ForEachReachableTargetGrouped(p.cond, sources, targets, 4096,
+                                  [&closure](uint32_t group, uint32_t idx) {
+                                    closure[group].push_back(idx);
+                                  });
+  }
+  size_t entries = 0;
+  for (size_t node = 0; node < rows.rows.size(); ++node) {
+    entries += rows.rows[node].size() + rows.succs[node].size();
+  }
+  EXPECT_LE(entries, rows.rep_pairs.size() * targets.size());
+  for (uint32_t group = 0; group < rows.rep_pairs.size(); ++group) {
+    std::sort(closure[group].begin(), closure[group].end());
+    EXPECT_EQ(ExpandSkeleton(rows, group), closure[group])
+        << "site=" << f.site() << " group=" << group;
+  }
+  return rows;
+}
+
+TEST(ProductSkeletonTest, SkeletonPathsMatchProductClosure) {
+  constexpr size_t kSites = 4, kLabels = 2;
+  Rng rng(8086);
+  size_t skeletons = 0, closures = 0;
+  for (size_t trial = 0; trial < 12; ++trial) {
+    const size_t n = 60 + rng.Uniform(120);
+    const Graph g = ErdosRenyi(n, (2 + trial % 3) * n, kLabels, &rng);
+    const Fragmentation frag =
+        Fragmentation::Build(g, RandomPartition(n, kSites, &rng), kSites);
+    QueryAutomaton a = QueryAutomaton::WildcardStar();
+    if (trial % 4 != 0) {
+      a = QueryAutomaton::FromRegex(Regex::Random(3, kLabels, &rng)).value();
+    }
+    const CanonicalAutomaton canon = Canonicalize(a);
+    for (SiteId s = 0; s < kSites; ++s) {
+      SCOPED_TRACE("trial=" + std::to_string(trial));
+      const ProductBoundaryRows rows =
+          ExpectRowsMatchProductClosure(frag.fragment(s), canon);
+      if (rows.NumAux() > 0) {
+        ++skeletons;
+      } else {
+        ++closures;
+      }
+    }
+  }
+  EXPECT_GT(skeletons, 0u);
+  EXPECT_GT(closures, 0u);
+}
+
+// Theorem 3 for the standing rows: a fragment whose boundary is fixed ships
+// rows of the same size however long its interior grows — a chain's
+// skeleton has one aux node per chain node, so the size rule takes the
+// closure side.
+TEST(ProductSkeletonTest, StandingRowsIndependentOfFragmentInterior) {
+  // Site 0: node a; site 1: a chain of `interior` nodes; site 2: node b.
+  // Edges a -> chain -> b, so site 1 has one in-node and one virtual node.
+  const auto rows_bytes = [](size_t interior, ProductBoundaryRows* out) {
+    GraphBuilder b;
+    b.AddNodes(interior + 2);
+    for (NodeId v = 0; v <= interior; ++v) b.AddEdge(v, v + 1);
+    std::vector<SiteId> part(interior + 2, 1);
+    part.front() = 0;
+    part.back() = 2;
+    const Fragmentation frag =
+        Fragmentation::Build(std::move(b).Build(), part, 3);
+    const CanonicalAutomaton canon =
+        Canonicalize(QueryAutomaton::WildcardStar());
+    FragmentContext ctx;
+    *out = BuildProductBoundaryRows(frag.fragment(1), &ctx, canon.signature.key,
+                                    canon.automaton);
+    Encoder enc;
+    out->Serialize(&enc);
+    return enc.size();
+  };
+  ProductBoundaryRows small, large;
+  const size_t small_bytes = rows_bytes(10, &small);
+  const size_t large_bytes = rows_bytes(1000, &large);
+  for (const ProductBoundaryRows* rows : {&small, &large}) {
+    EXPECT_EQ(rows->NumAux(), 0u);  // closure side
+    ASSERT_EQ(rows->rep_pairs.size(), 1u);
+    EXPECT_EQ(rows->rows[0].size(), rows->TableSize());  // reaches all of b
+  }
+  // 100x larger interior, same boundary: bytes within a small constant
+  // (only the varint widths of the global ids grow).
+  EXPECT_LE(large_bytes, small_bytes + 8);
+}
+
+// The serving benchmark's graph shape (LiveJournal stand-in, scale 0.001,
+// 8 chunk fragments) takes the skeleton side: fragments ship aux nodes,
+// and far fewer entries than their closure rows would hold — with the same
+// reachability.
+TEST(ProductSkeletonTest, LiveJournalStandInShipsSkeletons) {
+  constexpr size_t kSites = 8;
+  Rng rng(42);
+  std::vector<CanonicalAutomaton> pool;
+  for (size_t i = 0; i < 4; ++i) {
+    pool.push_back(Canonicalize(
+        QueryAutomaton::FromRegex(Regex::Random(3, 1, &rng)).value()));
+  }
+  const Graph g = MakeDataset(Dataset::kLiveJournal, 0.001, &rng);
+  const Fragmentation frag = Fragmentation::Build(
+      g, ChunkPartitioner().Partition(g, kSites, &rng), kSites);
+  size_t with_aux = 0, entries = 0, closure_bound = 0;
+  for (const CanonicalAutomaton& canon : pool) {
+    for (SiteId s = 0; s < kSites; ++s) {
+      const ProductBoundaryRows rows =
+          ExpectRowsMatchProductClosure(frag.fragment(s), canon);
+      with_aux += rows.NumAux() > 0 ? 1 : 0;
+      for (size_t node = 0; node < rows.rows.size(); ++node) {
+        entries += rows.rows[node].size() + rows.succs[node].size();
+      }
+      closure_bound += rows.rep_pairs.size() * rows.TableSize();
+    }
+  }
+  EXPECT_GT(with_aux, 0u);
+  EXPECT_LT(entries, closure_bound);
 }
 
 // ---------------------------------------------------------------------------
@@ -85,6 +308,7 @@ TEST(BoundaryRpqIndexTest, HandBuiltProductGraphAnswers) {
   // Table f0: 0 = (20,u_t), 1 = (20,2), 2 = (30,u_t).
   f0.rep_pairs = {{10, 2}};
   f0.rows = {{1, 2}};  // (10,2) -> (20,2); (10,2) can accept at 30
+  f0.succs = {{}};
   f0.aliases = {{{12, 2}, 0}};
   entry.SetFragmentRows(0, std::move(f0));
 
@@ -95,6 +319,7 @@ TEST(BoundaryRpqIndexTest, HandBuiltProductGraphAnswers) {
   // Table f1: 0 = (10,u_t), 1 = (10,2), 2 = (12,u_t), 3 = (12,2).
   f1.rep_pairs = {{20, 2}, {40, 2}};
   f1.rows = {{1}, {}};  // (20,2) -> (10,2); (40,2) reaches nothing
+  f1.succs = {{}, {}};
   entry.SetFragmentRows(1, std::move(f1));
 
   EXPECT_TRUE(entry.DirtySites().empty());
@@ -128,6 +353,7 @@ TEST(BoundaryRpqIndexTest, HandBuiltProductGraphAnswers) {
                     (uint64_t{1} << kFinal) | (uint64_t{1} << 2)};
   f1b.rep_pairs = {{20, 2}, {40, 2}};
   f1b.rows = {{1}, {1}};  // (40,2) now reaches (10,2) too
+  f1b.succs = {{}, {}};
   entry.SetFragmentRows(1, std::move(f1b));
   entry.Ensure();
   EXPECT_EQ(entry.rebuild_count(), 2u);

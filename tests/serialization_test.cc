@@ -235,6 +235,33 @@ TEST(SerializationDeathTest, FrameDecoderCannotReadPastFrameEnd) {
   EXPECT_DEATH((void)frame.GetU8(), "CHECK failed");
 }
 
+// Require is a semantic check with the read checks' error modes: sticky
+// Corruption in kStatus mode (first message wins, the buffer is exhausted),
+// abort in kAbort mode.
+TEST(SerializationTest, RequireFailsAStatusDecoder) {
+  Encoder enc;
+  enc.PutVarint(7);
+  enc.PutVarint(8);
+  Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+  EXPECT_TRUE(dec.Require(dec.GetVarint() == 7, "first"));
+  EXPECT_FALSE(dec.Require(false, "index out of range"));
+  EXPECT_FALSE(dec.Require(false, "second"));
+  EXPECT_FALSE(dec.ok());
+  EXPECT_EQ(dec.remaining(), 0u);
+  EXPECT_EQ(dec.GetVarint(), 0u);
+  EXPECT_NE(dec.status().ToString().find("index out of range"),
+            std::string::npos);
+}
+
+TEST(SerializationDeathTest, RequireAbortsAnAbortDecoder) {
+  Encoder enc;
+  enc.PutU8(1);
+  const std::vector<uint8_t> buf = enc.buffer();
+  Decoder dec(buf);
+  EXPECT_DEATH((void)dec.Require(false, "index out of range"),
+               "index out of range");
+}
+
 // End-to-end: a reply payload whose equation count was corrupted to exceed
 // the remaining bytes aborts in the decoder bounds checks instead of
 // fabricating equations or resizing to a bogus size.
