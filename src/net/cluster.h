@@ -117,10 +117,10 @@ class Cluster {
   void InvalidateFragment(SiteId site);
   void InvalidateAllFragments();
 
-  /// Re-ships post-update fragment state to the workers (no-op on kSim).
-  /// Call after mutating the graph, under the same exclusion that gates
-  /// evaluations (the server's writer-held epoch gate) so no round is in
-  /// flight.
+  /// Re-ships the fragments invalidated since the last sync to their
+  /// workers (no-op on kSim). Call after mutating the graph, under the same
+  /// exclusion that gates evaluations (the server's writer-held epoch gate)
+  /// so no round is in flight.
   Status SyncFragments();
 
   /// Adds coordinator-side compute (assembling) to the modeled clock.

@@ -468,6 +468,7 @@ class SocketTransport : public Transport {
         conns_.back()->jitter_state =
             SplitMix64(options_.backoff_jitter_seed + s);
         frag_bytes_.push_back(SerializeFragment(fragmentation_->fragment(s)));
+        sync_pending_.push_back(false);
         fault_killed_[s].store(false, std::memory_order_relaxed);
       }
     }
@@ -495,31 +496,44 @@ class SocketTransport : public Transport {
         replies, max_compute_ms);
   }
 
-  void InvalidateFragment(SiteId site) override { local_.Invalidate(site); }
-  void InvalidateAll() override { local_.InvalidateAll(); }
+  /// An invalidated site is also queued for the next SyncFragments: the
+  /// update path reports exactly the fragments it changed.
+  void InvalidateFragment(SiteId site) override {
+    local_.Invalidate(site);
+    MutexLock lock(&frag_mu_);
+    sync_pending_[site] = true;
+  }
+  void InvalidateAll() override {
+    local_.InvalidateAll();
+    MutexLock lock(&frag_mu_);
+    sync_pending_.assign(conns_.size(), true);
+  }
   size_t ContextBuildsForTest() const override {
     return local_.context_builds();
   }
 
   Status SyncFragments() override {
-    // Refresh the serialized snapshots FIRST. The server calls this under
-    // the writer-held epoch gate (no rounds in flight), and every later
-    // Hello — including the repair thread's — ships these cached bytes, so
-    // nothing off the gate ever serializes a live fragment.
+    // Refresh the serialized snapshots of the pending sites FIRST, dead or
+    // alive. The server calls this under the writer-held epoch gate (no
+    // rounds in flight), and every later Hello — including the repair
+    // thread's — ships these cached bytes, so nothing off the gate ever
+    // serializes a live fragment. Untouched sites keep their bytes, their
+    // worker's warm context and their degrade-local context.
+    std::vector<SiteId> pending;
     {
       MutexLock lock(&frag_mu_);
       for (SiteId s = 0; s < conns_.size(); ++s) {
+        if (!sync_pending_[s]) continue;
+        sync_pending_[s] = false;
         frag_bytes_[s] = SerializeFragment(fragmentation_->fragment(s));
+        pending.push_back(s);
       }
     }
-    // The degrade-local contexts cache per-fragment structure; the
-    // fragments just changed under us, as they did under the workers.
-    local_.InvalidateAll();
     // A site that fails to sync is marked dead, which is already safe: its
     // next round re-establishes with a Hello carrying the CURRENT fragment,
     // so a worker can never serve stale state. Sites already dead are
     // skipped for the same reason.
-    for (SiteId s = 0; s < conns_.size(); ++s) {
+    for (const SiteId s : pending) {
       Connection& c = *conns_[s];
       MutexLock lock(&c.io_mu);
       if (c.dead) continue;
@@ -529,6 +543,7 @@ class SocketTransport : public Transport {
         MutexLock flock(&frag_mu_);
         body.PutRaw(frag_bytes_[s]);
       }
+      fragment_syncs_.fetch_add(1, std::memory_order_relaxed);
       Status st = ExchangeLocked(&c, body.buffer(), nullptr, nullptr,
                                  WireDeadline(options_.read_timeout_ms));
       if (!st.ok()) {
@@ -597,6 +612,7 @@ class SocketTransport : public Transport {
     h.degraded_site_rounds = degraded_.load(std::memory_order_relaxed);
     h.breakers_open = supervisor_->OpenBreakers();
     h.sync_failures = sync_failures_.load(std::memory_order_relaxed);
+    h.fragment_syncs = fragment_syncs_.load(std::memory_order_relaxed);
     return h;
   }
 
@@ -963,6 +979,8 @@ class SocketTransport : public Transport {
   /// under the writer-held epoch gate, read during establishment.
   Mutex frag_mu_{LockRank::kTransportFrag};
   std::vector<std::vector<uint8_t>> frag_bytes_ PEREACH_GUARDED_BY(frag_mu_);
+  /// Sites invalidated since the last SyncFragments, which re-ships them.
+  std::vector<bool> sync_pending_ PEREACH_GUARDED_BY(frag_mu_);
   std::unique_ptr<WorkerSupervisor> supervisor_;
   /// kill_each_site bookkeeping: each site is force-killed exactly once.
   std::unique_ptr<std::atomic<bool>[]> fault_killed_;
@@ -971,6 +989,7 @@ class SocketTransport : public Transport {
   std::atomic<uint64_t> respawns_{0};
   std::atomic<uint64_t> degraded_{0};
   std::atomic<uint64_t> sync_failures_{0};
+  std::atomic<uint64_t> fragment_syncs_{0};
 };
 
 }  // namespace

@@ -179,6 +179,7 @@ struct TransportHealth {
   uint64_t degraded_site_rounds = 0; // site-rounds evaluated degrade_local
   uint64_t breakers_open = 0;        // connections currently open/half-open
   uint64_t sync_failures = 0;        // site syncs that failed (site closed)
+  uint64_t fragment_syncs = 0;       // sites sent a post-update kSync
 };
 
 /// Executes communication rounds for a Cluster. Implementations are
@@ -200,18 +201,20 @@ class Transport {
 
   /// Drops the standing FragmentContext of one coordinator-side site (the
   /// kSim sites, the kSocket degrade-local runner) after an update changed
-  /// its fragment; the next round at that site rebuilds it. Must not
-  /// overlap with in-flight rounds on that site.
+  /// its fragment; the next round at that site rebuilds it. kSocket also
+  /// marks the site for the next SyncFragments. Must not overlap with
+  /// in-flight rounds on that site.
   virtual void InvalidateFragment(SiteId site) = 0;
 
   /// InvalidateFragment for every site (after repartitioning).
   virtual void InvalidateAll() = 0;
 
-  /// Re-ships every fragment's post-update state to its site (worker-held
-  /// fragment copies go stale when IncrementalReachIndex applies edges).
-  /// No-op for kSim, which reads the coordinator's fragments directly. A
-  /// site that cannot be synced is marked dead so its next round
-  /// re-establishes with a fresh Hello — stale answers are impossible
+  /// Re-ships the fragments invalidated since the last sync to their sites
+  /// (worker-held fragment copies go stale when IncrementalReachIndex
+  /// applies edges); every other worker keeps its fragment and its warm
+  /// context. No-op for kSim, which reads the coordinator's fragments
+  /// directly. A site that cannot be synced is marked dead so its next
+  /// round re-establishes with a fresh Hello — stale answers are impossible
   /// either way — and counted in Health().sync_failures; the call itself
   /// still succeeds. Must not overlap with in-flight rounds (the server
   /// calls it under the writer-held epoch gate).

@@ -196,12 +196,13 @@ uint64_t QueryServer::AddEdges(
   // each touched fragment; Cluster reads the fragmentation only inside
   // reader-held batches, so the swap is invisible to queries.
   index_->AddEdges(edges);
-  // Ship the updated fragments to the serving workers while still
-  // exclusive, so no batch can round over stale remote state. A failed site
-  // sync is not an update failure: it closes that site's connection, the
-  // next round re-establishes and the reconnect handshake ships the CURRENT
-  // fragment, so a worker can never serve pre-update answers after this
-  // commit. The transport counts it (server_transport_sync_failures_total).
+  // Ship the fragments the update touched (the ones the listener just
+  // invalidated) to their workers while still exclusive, so no batch can
+  // round over stale remote state. A failed site sync is not an update
+  // failure: it closes that site's connection, the next round
+  // re-establishes and the reconnect handshake ships the CURRENT fragment,
+  // so a worker can never serve pre-update answers after this commit. The
+  // transport counts it (server_transport_sync_failures_total).
   Status sync = cluster_.SyncFragments();
   PEREACH_CHECK(sync.ok());
   const uint64_t epoch = writer.Commit();
@@ -287,6 +288,8 @@ MetricsSnapshot QueryServer::Metrics() const {
                         health.degraded_site_rounds);
     metrics_.SetCounter(CounterId::kTransportSyncFailures,
                         health.sync_failures);
+    metrics_.SetCounter(CounterId::kTransportFragmentSyncs,
+                        health.fragment_syncs);
     metrics_.SetGauge(GaugeId::kBreakersOpen,
                       static_cast<double>(health.breakers_open));
   }

@@ -56,6 +56,9 @@ constexpr MetricInfo kCounterInfos[] = {
     {"server_transport_sync_failures_total", "counter", "sites",
      "post-update fragment syncs that failed; the site was closed and "
      "re-establishes with the current fragment"},
+    {"server_transport_fragment_syncs_total", "counter", "sites",
+     "post-update fragment syncs sent; one per live worker whose fragment "
+     "the update touched"},
 };
 
 constexpr MetricInfo kGaugeInfos[] = {

@@ -49,6 +49,7 @@ enum class CounterId : size_t {
   kTransportRespawns,  // worker re-establishments after the first Hello
   kTransportDegraded,  // site-rounds evaluated locally (degrade_local)
   kTransportSyncFailures,  // site syncs that failed (site closed, re-Hellos)
+  kTransportFragmentSyncs,  // sites sent a post-update kSync
   kCount,
 };
 

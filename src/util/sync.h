@@ -105,8 +105,9 @@ enum class LockRank : int {
   /// degradation runs only after the exchange released it).
   kTransportConn = 45,
   /// SocketTransport::frag_mu_ — the serialized fragment snapshots Hello
-  /// and Sync ship; read under io_mu during establishment, written by
-  /// SyncFragments under the writer-held epoch gate.
+  /// and Sync ship, and the sites pending a sync; read under io_mu during
+  /// establishment, written by InvalidateFragment and SyncFragments under
+  /// the writer-held epoch gate.
   kTransportFrag = 46,
   /// WorkerSupervisor::mu_ — per-connection breaker state and the repair
   /// worklist. Ranked above io_mu so the repair thread can never hold it

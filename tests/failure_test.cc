@@ -22,6 +22,7 @@
 #include "src/core/local_eval.h"
 #include "src/engine/partial_eval_engine.h"
 #include "src/fragment/fragmentation.h"
+#include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/net/cluster.h"
 #include "src/net/supervisor.h"
@@ -535,6 +536,83 @@ TEST(TransportFailureTest, FailedSyncIsCountedAndAnswersStayCurrent) {
           << s << "->" << t;
     }
   }
+  server.Stop();
+}
+
+// Only the sites an update touches get a post-update sync, so a dead worker
+// must not leave any site serving a stale fragment. One killed worker's site
+// is untouched: it is never synced and re-establishes from its unchanged
+// snapshot. The other's site is touched twice: the first sync fails and
+// closes it, and the second update finds it already down and skips it, yet
+// must still refresh its snapshot, because the site's next Hello ships it.
+// Reach, dist and rpq answers from both sites must match the oracle.
+TEST(TransportFailureTest, KilledWorkersServeCurrentFragmentsAfterPartialSync) {
+  Rng rng(1616);
+  const size_t n = 30, k = 3, num_labels = 2;
+  const Graph g = ErdosRenyi(n, n, num_labels, &rng);
+  const std::vector<SiteId> part = testing_util::RandomPartition(n, k, &rng);
+  std::vector<std::vector<NodeId>> members(k);
+  for (NodeId v = 0; v < n; ++v) members[part[v]].push_back(v);
+  constexpr SiteId kTouched = 1, kUntouched = 2;
+  const std::vector<NodeId>& touched = members[kTouched];
+  ASSERT_GE(touched.size(), 3u);
+  EdgeWorld world = EdgeWorld::FromGraph(g);
+  IncrementalReachIndex index(g, part, k);
+  ServerOptions options;
+  options.transport.backend = TransportBackend::kSocket;
+  options.transport.read_timeout_ms = 2000;
+  QueryServer server(&index, options);
+
+  ASSERT_FALSE(server.Submit(Query::Reach(0, 1)).get().rejected);
+  const std::vector<int> pids =
+      server.cluster()->transport()->WorkerPidsForTest();
+  ASSERT_EQ(pids.size(), k);
+  kill(pids[kTouched], SIGKILL);
+  kill(pids[kUntouched], SIGKILL);
+  const auto counter = [&server](CounterId id) {
+    return server.Metrics().counter(id);
+  };
+
+  // Intra-fragment edges only: kTouched is the one site either update
+  // touches. The first sync hits the dead worker and fails.
+  const std::vector<std::pair<NodeId, NodeId>> first = {
+      {touched[0], touched[1]}, {touched[1], touched[2]}};
+  server.AddEdges(first);
+  EXPECT_EQ(counter(CounterId::kTransportFragmentSyncs), 1u);
+  EXPECT_EQ(counter(CounterId::kTransportSyncFailures), 1u);
+  // Now the transport knows kTouched is down: no sync is sent at all.
+  std::vector<std::pair<NodeId, NodeId>> second;
+  for (const NodeId v : touched) second.emplace_back(v, touched[0]);
+  server.AddEdges(second);
+  EXPECT_EQ(counter(CounterId::kTransportFragmentSyncs), 1u);
+  EXPECT_EQ(counter(CounterId::kTransportSyncFailures), 1u);
+  world.edges.insert(world.edges.end(), first.begin(), first.end());
+  world.edges.insert(world.edges.end(), second.begin(), second.end());
+
+  const Graph updated = world.Build();
+  const QueryAutomaton automaton =
+      QueryAutomaton::FromRegex(Regex::Random(3, num_labels, &rng)).value();
+  std::vector<Query> queries;
+  for (const SiteId site : {kTouched, kUntouched}) {
+    for (const NodeId s : members[site]) {
+      for (NodeId t = 0; t < n; ++t) {
+        queries.push_back(Query::Reach(s, t));
+        queries.push_back(Query::Dist(s, t, 4));
+        queries.push_back(Query::Rpq(s, t, automaton));
+      }
+    }
+  }
+  std::vector<std::future<ServedAnswer>> served;
+  for (const Query& q : queries) served.push_back(server.Submit(q));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    const ServedAnswer answer = served[i].get();
+    ASSERT_FALSE(answer.rejected) << i;
+    EXPECT_EQ(answer.answer.reachable, testing_util::OracleReachable(updated, q))
+        << "kind=" << static_cast<int>(q.kind) << " " << q.source << "->"
+        << q.target;
+  }
+  EXPECT_EQ(counter(CounterId::kRejectedTransport), 0u);
   server.Stop();
 }
 

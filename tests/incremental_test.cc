@@ -4,6 +4,7 @@
 
 #include "src/baselines/centralized.h"
 #include "src/graph/generators.h"
+#include "src/util/serialization.h"
 #include "tests/test_util.h"
 
 namespace pereach {
@@ -12,6 +13,12 @@ namespace {
 using testing_util::MakePaperExample;
 using testing_util::PaperExample;
 using testing_util::RandomPartition;
+
+std::vector<uint8_t> FragmentBytes(const Fragment& f) {
+  Encoder enc;
+  f.Serialize(&enc);
+  return enc.TakeBuffer();
+}
 
 TEST(IncrementalTest, AnswersMatchCentralizedBeforeUpdates) {
   const PaperExample ex = MakePaperExample();
@@ -104,6 +111,76 @@ TEST(IncrementalTest, RecomputesAtMostTwoFragmentsPerInsert) {
     EXPECT_LE(now - previous, 2u) << "insert " << i;
     previous = now;
   }
+}
+
+// The socket write path re-ships only the fragments the update listener
+// reports, so every fragment it does NOT report must come out of AddEdges
+// byte-identical — same local ids, edges, in-nodes and virtual nodes — or a
+// worker would keep serving a stale copy. Batches mix intra-fragment,
+// cross-fragment, duplicate and self-loop edges under every partitioner.
+TEST(IncrementalTest, UnreportedFragmentsSerializeByteIdentically) {
+  constexpr size_t kSites = 5;
+  size_t unreported_checks = 0;
+  for (const auto& partitioner : testing_util::AllPartitioners()) {
+    for (const uint64_t seed : {11u, 12u, 13u, 14u}) {
+      Rng rng(seed);
+      const size_t n = 40 + rng.Uniform(30);
+      const Graph g = ErdosRenyi(n, 2 * n, 2, &rng);
+      const std::vector<SiteId> part = partitioner->Partition(g, kSites, &rng);
+      std::vector<std::vector<NodeId>> members(kSites);
+      for (NodeId v = 0; v < n; ++v) members[part[v]].push_back(v);
+      testing_util::EdgeWorld world = testing_util::EdgeWorld::FromGraph(g);
+
+      IncrementalReachIndex index(g, part, kSites);
+      std::vector<bool> reported(kSites, false);
+      index.SetUpdateListener([&reported](SiteId s) { reported[s] = true; });
+
+      for (int update = 0; update < 12; ++update) {
+        std::vector<std::pair<NodeId, NodeId>> batch;
+        const size_t size = 1 + rng.Uniform(6);
+        while (batch.size() < size) {
+          const NodeId u = static_cast<NodeId>(rng.Uniform(n));
+          const std::vector<NodeId>& home = members[part[u]];
+          const SiteId other = static_cast<SiteId>(rng.Uniform(kSites));
+          switch (rng.Uniform(4)) {
+            case 0:  // intra-fragment
+              batch.emplace_back(u, home[rng.Uniform(home.size())]);
+              break;
+            case 1:  // cross-fragment
+              if (other == part[u] || members[other].empty()) break;
+              batch.emplace_back(
+                  u, members[other][rng.Uniform(members[other].size())]);
+              break;
+            case 2:  // duplicate of an edge already in the graph
+              batch.push_back(world.edges[rng.Uniform(world.edges.size())]);
+              break;
+            default:  // self-loop
+              batch.emplace_back(u, u);
+              break;
+          }
+        }
+        world.edges.insert(world.edges.end(), batch.begin(), batch.end());
+
+        std::vector<std::vector<uint8_t>> before;
+        for (SiteId s = 0; s < kSites; ++s) {
+          before.push_back(FragmentBytes(index.fragmentation().fragment(s)));
+        }
+        reported.assign(kSites, false);
+        index.AddEdges(batch);
+        for (SiteId s = 0; s < kSites; ++s) {
+          if (reported[s]) continue;
+          ++unreported_checks;
+          EXPECT_EQ(FragmentBytes(index.fragmentation().fragment(s)),
+                    before[s])
+              << partitioner->name() << " seed=" << seed
+              << " update=" << update << ": site " << s
+              << " changed but was not reported";
+        }
+      }
+      index.SetUpdateListener(nullptr);
+    }
+  }
+  EXPECT_GT(unreported_checks, 0u);
 }
 
 }  // namespace

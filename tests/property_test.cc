@@ -203,7 +203,9 @@ TEST(CrossClassPropertyTest, AllPathCombosMatchOracleAcrossMatrix) {
 // Transport differential: the socket backend (spawned worker processes,
 // length-prefixed frames, CRC-gated decode) must serve answers AND modeled
 // books bit-identical to the simulated seed, across the answer-path cube and
-// across update epochs (each commit re-ships fragments via SyncFragments).
+// across update epochs (each commit re-ships the fragments the update
+// invalidated via SyncFragments; every other worker keeps its fragment and
+// warm context — the chaos variant runs that under faults every epoch).
 // This is the proof that serving over real sockets changes wall-clock only.
 // One socket-vs-sim differential world: same graph, same partitioner, the
 // sim and socket backends must agree bit-for-bit on answers AND on the
@@ -300,7 +302,7 @@ void SocketVsSimDifferential(const Partitioner& partitioner, uint64_t seed,
           << pair.name;
     }
 
-    // Commit an update epoch and re-ship the rebuilt fragments to the
+    // Commit an update epoch and re-ship the fragments it touched to their
     // workers before the next round (what QueryServer::AddEdges does under
     // its writer gate).
     index.AddEdges(world.AddRandomEdges(3, &rng));

@@ -890,5 +890,65 @@ TEST(QueryServerTest, MetricsSnapshotCoversServingActivity) {
   }
 }
 
+// The socket write path ships a post-update kSync only to the sites whose
+// fragment the update touched — the ones the index's listener reported — so
+// the sync count grows by the touched union, never by the site count. All
+// three class engines invalidate each touched site; it still ships once.
+TEST(QueryServerTest, SocketUpdateSyncsOnlyTheTouchedSites) {
+  Rng rng(1606);
+  const size_t n = 60, k = 6;
+  const Graph g = ErdosRenyi(n, 2 * n, 2, &rng);
+  const std::vector<SiteId> part = RandomPartition(n, k, &rng);
+  std::vector<std::vector<NodeId>> members(k);
+  for (NodeId v = 0; v < n; ++v) members[part[v]].push_back(v);
+  for (const std::vector<NodeId>& m : members) ASSERT_GE(m.size(), 2u);
+  IncrementalReachIndex index(g, part, k);
+
+  ServerOptions options;
+  options.transport.backend = TransportBackend::kSocket;
+  QueryServer server(&index, options);
+  // A sync goes only to a live worker: establish all of them first.
+  ASSERT_FALSE(server.Submit(Query::Reach(0, 1)).get().rejected);
+  ASSERT_EQ(server.cluster()->transport()->WorkerPidsForTest().size(), k);
+  const auto syncs = [&server] {
+    return server.Metrics().counter(CounterId::kTransportFragmentSyncs);
+  };
+
+  uint64_t before = syncs();
+  server.AddEdge(members[1][0], members[1][1]);  // intra-fragment
+  EXPECT_EQ(syncs() - before, 1u);
+
+  before = syncs();
+  server.AddEdge(members[2][0], members[3][0]);  // cross-fragment
+  EXPECT_EQ(syncs() - before, 2u);
+
+  // A batch ships the union of what its edges touch: {1, 4, 5}.
+  const std::vector<std::pair<NodeId, NodeId>> batch = {
+      {members[4][0], members[5][1]},
+      {members[5][0], members[5][1]},
+      {members[1][1], members[4][1]},
+      {members[4][1], members[4][1]}};
+  before = syncs();
+  server.AddEdges(batch);
+  EXPECT_EQ(syncs() - before, 3u);
+  EXPECT_EQ(server.Metrics().counter(CounterId::kTransportSyncFailures), 0u);
+
+  // Every worker still serves current answers after the partial syncs.
+  EdgeWorld world = EdgeWorld::FromGraph(g);
+  world.edges.emplace_back(members[1][0], members[1][1]);
+  world.edges.emplace_back(members[2][0], members[3][0]);
+  world.edges.insert(world.edges.end(), batch.begin(), batch.end());
+  const Graph updated = world.Build();
+  for (NodeId s = 0; s < n; s += 7) {
+    for (NodeId t = 0; t < n; t += 5) {
+      const ServedAnswer answer = server.Submit(Query::Reach(s, t)).get();
+      ASSERT_FALSE(answer.rejected);
+      EXPECT_EQ(answer.answer.reachable, CentralizedReach(updated, s, t))
+          << s << "->" << t;
+    }
+  }
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace pereach

@@ -131,6 +131,10 @@ TEST(ServerMetricsTest, TransportRecoveryMetricsAreCataloged) {
                                            CounterId::kTransportSyncFailures)]
                             .name),
             "server_transport_sync_failures_total");
+  EXPECT_EQ(std::string(CounterInfos()[static_cast<size_t>(
+                                           CounterId::kTransportFragmentSyncs)]
+                            .name),
+            "server_transport_fragment_syncs_total");
   EXPECT_EQ(
       std::string(
           GaugeInfos()[static_cast<size_t>(GaugeId::kBreakersOpen)].name),

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/incremental.h"
 #include "src/engine/partial_eval_engine.h"
 #include "src/net/cluster.h"
 #include "src/util/serialization.h"
@@ -326,6 +327,62 @@ TEST(TransportBackendTest, UnreachableEndpointDegradesLocallyByDefault) {
   const TransportHealth health = real.transport()->Health();
   EXPECT_GT(health.degraded_site_rounds, 0u);
   EXPECT_GT(health.breakers_open, 0u);
+}
+
+// An update re-ships and rebuilds only what it touched, on the degrade-local
+// path too: every endpoint is unreachable, so each site round runs on the
+// coordinator's standing contexts, and an intra-fragment insert must rebuild
+// exactly the one context it invalidated — the other sites stay warm.
+TEST(TransportBackendTest, DegradeLocalUpdateRebuildsOnlyTheTouchedContext) {
+  const PaperExample ex = MakePaperExample();
+  IncrementalReachIndex index(ex.graph, ex.partition, 3);
+  TransportOptions opts;
+  opts.backend = TransportBackend::kSocket;
+  opts.connect = {"unix:/nonexistent/pereach-0.sock",
+                  "unix:/nonexistent/pereach-1.sock",
+                  "unix:/nonexistent/pereach-2.sock"};
+  opts.connect_timeout_ms = 100;
+  opts.max_retries = 0;
+  opts.retry_backoff_ms = 1;
+  opts.round_retries = 0;
+  opts.breaker_threshold = 1;
+  Cluster sim(&index.fragmentation(), NetworkModel(), /*num_threads=*/3);
+  Cluster real(&index.fragmentation(), NetworkModel(), /*num_threads=*/3,
+               opts);
+  PartialEvalEngine sim_engine(&sim);
+  PartialEvalEngine real_engine(&real);
+  index.SetUpdateListener([&](SiteId site) {
+    sim_engine.InvalidateFragment(site);
+    real_engine.InvalidateFragment(site);
+  });
+
+  // All three classes, so every site builds every section it serves.
+  std::vector<Query> batch = MixedBatch(ex.graph.NumNodes(), 16, 29);
+  batch.push_back(Query::Reach(ex.ann, ex.tom));
+  batch.push_back(Query::Dist(ex.ann, ex.tom, 6));
+  batch.push_back(Query::Rpq(ex.ann, ex.tom, QueryAutomaton::WildcardStar()));
+  const auto expect_same = [&](const char* phase) {
+    const BatchAnswer a = sim_engine.EvaluateBatch(batch);
+    const BatchAnswer b = real_engine.EvaluateBatch(batch);
+    ASSERT_TRUE(a.status.ok()) << phase;
+    ASSERT_TRUE(b.status.ok()) << phase;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(a.answers[i].reachable, b.answers[i].reachable)
+          << phase << " query " << i;
+      EXPECT_EQ(a.answers[i].distance, b.answers[i].distance)
+          << phase << " query " << i;
+    }
+  };
+  expect_same("before");
+  const size_t warm = real.transport()->ContextBuildsForTest();
+  EXPECT_EQ(warm, 3u);
+
+  index.AddEdge(ex.tom, ex.ross);  // intra-fragment: touches site 2 only
+  ASSERT_TRUE(real.SyncFragments().ok());
+  expect_same("after");
+  EXPECT_EQ(real.transport()->ContextBuildsForTest(), warm + 1);
+  EXPECT_GT(real.transport()->Health().degraded_site_rounds, 0u);
+  index.SetUpdateListener(nullptr);
 }
 
 // With recovery pinned off, killing a worker fails the in-flight round's
